@@ -3,9 +3,9 @@ GO ?= go
 # get a second pass under the race detector.
 RACE_PKGS = ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/obs/... ./internal/match/... ./internal/adapt/... ./internal/launch/... .
 
-.PHONY: check fmt vet build test race bench benchsmoke perfsmoke tracesmoke comparesmoke partsmoke bench-baseline bench-compare
+.PHONY: check fmt vet build test race reconfigsmoke bench benchsmoke perfsmoke tracesmoke comparesmoke partsmoke bench-baseline bench-compare
 
-check: fmt vet build test race benchsmoke perfsmoke tracesmoke comparesmoke partsmoke
+check: fmt vet build test race reconfigsmoke benchsmoke perfsmoke tracesmoke comparesmoke partsmoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -22,6 +22,12 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# The dist tests that race tokens against splits and merges, 50 times
+# each: a schedule-dependent step-property break shows up in a few runs
+# of fifty where a single `go test` run passes.
+reconfigsmoke:
+	$(GO) test -count=50 -run 'UnderLoad|DuringReconfig|AsyncAdaptiveEndToEnd' ./internal/dist/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -574,14 +574,12 @@ func BenchmarkTokenDistTCPBatch(b *testing.B) {
 // TCP RPC pays on top of the in-process fabric.
 func BenchmarkWireCodec(b *testing.B) {
 	wires := make([]int, 16)
-	seqs := make([]uint64, 16)
 	for i := range wires {
 		wires[i] = i * 3 % 64
-		seqs[i] = uint64(i + 1)
 	}
 	req := transport.Request{
-		ID: 7, From: "t:1", To: "c:0110#2", Kind: wire.KindGroupArrive,
-		Body: wire.GroupArrive{Token: "t:1", Wires: wires, Seqs: seqs},
+		ID: 7, From: "inj", To: "c:0110#2", Kind: wire.KindGroupArrive,
+		Body: wire.GroupArrive{Wires: wires},
 	}
 	enc := wire.NewEncoder(256)
 	b.ResetTimer()

@@ -1,8 +1,8 @@
 #!/bin/sh
 # ci.sh — the repository's verification gate, equivalent to `make check`
 # for environments without make: formatting, vet, build, full tests, a
-# race-detector pass over the concurrent packages, and a one-iteration
-# benchmark smoke pass.
+# race-detector pass over the concurrent packages, 50 runs of the
+# split/merge-under-load tests, and a one-iteration benchmark smoke pass.
 #
 # Perf regressions are gated separately (baselines take minutes, not
 # seconds): `make bench-baseline LABEL=x` records a run, and
@@ -30,6 +30,9 @@ go test ./...
 
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/obs/... ./internal/match/... ./internal/adapt/... ./internal/launch/... .
+
+echo "== reconfiguration smoke (split/merge-under-load tests, 50 runs each) =="
+go test -count=50 -run 'UnderLoad|DuringReconfig|AsyncAdaptiveEndToEnd' ./internal/dist/
 
 echo "== benchmark smoke (1 iteration each) =="
 go test -bench . -benchtime 1x -run '^$' ./...

@@ -23,15 +23,16 @@ import (
 type Seq []int64
 
 // HasStep reports whether the sequence satisfies the step property:
-// for every i < j, 0 <= x_i - x_j <= 1.
+// for every i < j, 0 <= x_i - x_j <= 1. Adjacent differences of 0 or 1
+// are not enough — (2,1,1,0) has them — so the sequence must also be
+// non-increasing with its first and last entries at most 1 apart.
 func (s Seq) HasStep() bool {
 	for i := 1; i < len(s); i++ {
-		d := s[i-1] - s[i]
-		if d < 0 || d > 1 {
+		if s[i] > s[i-1] {
 			return false
 		}
 	}
-	return true
+	return len(s) == 0 || s[0]-s[len(s)-1] <= 1
 }
 
 // Total returns the sum of the sequence.

@@ -20,6 +20,7 @@ func TestSeqHasStep(t *testing.T) {
 		{"increasing", Seq{1, 2}, false},
 		{"big drop", Seq{4, 2}, false},
 		{"late rise", Seq{2, 2, 3}, false},
+		{"two small drops", Seq{2, 1, 1, 0}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

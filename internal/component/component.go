@@ -152,13 +152,7 @@ func (s *State) SetTotal(total uint64) {
 // in quiescence the component's output history is the unique step sequence
 // with the component's total.
 func (s *State) EmittedOn(out int) uint64 {
-	total := s.Total()
-	w := uint64(s.Comp.Width)
-	base := total / w
-	if uint64(out) < total%w {
-		return base + 1
-	}
-	return base
+	return stepOn(s.Total(), s.Comp.Width, out)
 }
 
 // SplitTotalsFromInputs computes the state of the children created when a
@@ -214,23 +208,69 @@ func SplitFlows(c tree.Component, inputs []uint64) (totals []uint64, flows [][]u
 		}
 		totals[j] = total
 		// Push this child's cumulative output distribution downstream.
-		base := total / uint64(h)
-		rem := int(total % uint64(h))
 		for o := 0; o < h; o++ {
-			emitted := base
-			if o < rem {
-				emitted++
-			}
-			if emitted == 0 {
-				continue
-			}
-			d := tree.ChildNext(c.Kind, c.Width, j, o)
-			if d.ToChild {
-				flows[d.Child][d.ChildIn] += emitted
+			if d := tree.ChildNext(c.Kind, c.Width, j, o); d.ToChild {
+				flows[d.Child][d.ChildIn] += stepOn(total, h, o)
 			}
 		}
 	}
 	return totals, flows, nil
+}
+
+// stepOn is wire o's entry of the step sequence of the given width and
+// total: what a single counter of that width has emitted on o.
+func stepOn(total uint64, width, o int) uint64 {
+	n := total / uint64(width)
+	if uint64(o) < total%uint64(width) {
+		n++
+	}
+	return n
+}
+
+// SplitContinuesStep reports whether splitting c, whose cumulative
+// per-input-wire arrivals are inputs, continues c's output: the children
+// that SplitFlows initializes have emitted StepSeq(c.Width, total), the
+// sequence c itself emitted. A BITONIC component always passes. A MERGER
+// or a MIX passes only when its inputs have the shape that kind merges —
+// for a MERGER, both halves step sequences — because its children
+// reproduce its output only on such inputs. Inputs that tokens still in
+// flight upstream leave unshaped fail, and a split committed on them
+// breaks the step property for good.
+func SplitContinuesStep(c tree.Component, inputs []uint64) (bool, error) {
+	totals, _, err := SplitFlows(c, inputs)
+	if err != nil {
+		return false, err
+	}
+	return MergeContinuesStep(c, totals)
+}
+
+// MergeContinuesStep reports whether merging c's children, whose token
+// totals are childTotals, continues their output: at those totals the
+// quiescent assembly has emitted StepSeq(c.Width, total), where total is
+// the tokens that entered it, so the merged counter resumes exactly where
+// the assembly left off. Like SplitContinuesStep it holds for every
+// BITONIC assembly and only for suitably shaped inputs to a MERGER or a
+// MIX.
+func MergeContinuesStep(c tree.Component, childTotals []uint64) (bool, error) {
+	if err := CheckConservation(c, childTotals); err != nil {
+		return false, err
+	}
+	h := c.Width / 2
+	emitted := make([]uint64, c.Width)
+	for j, total := range childTotals {
+		for o := 0; o < h; o++ {
+			if d := tree.ChildNext(c.Kind, c.Width, j, o); !d.ToChild {
+				emitted[d.ParentOut] += stepOn(total, h, o)
+			}
+		}
+	}
+	total := childTotals[0] + childTotals[1]
+	for o, n := range emitted {
+		if n != stepOn(total, c.Width, o) {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // SplitTotalsSequential computes child totals by replaying total mod width

@@ -158,7 +158,7 @@ func TestExplicitLimitBeatsController(t *testing.T) {
 
 // TestAdaptiveBatchDuringReconfig races controller-capped batches against
 // split/merge cycles while the controller itself is being driven between
-// sizes, so chunk boundaries interleave with freeze/store/resume.
+// sizes, so chunk boundaries interleave with freezes, refusals and thaws.
 func TestAdaptiveBatchDuringReconfig(t *testing.T) {
 	w := 8
 	cl, err := NewRootOnly(w)

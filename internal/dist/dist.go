@@ -3,32 +3,43 @@
 // components, and splits and merges run the paper's freeze protocol
 // (Section 2.2) against live traffic instead of stopping the world:
 //
-//   - Split: the component is frozen (arrivals are stored), its per-wire
-//     arrival history initializes the children, the children replace it,
-//     and the stored tokens are forwarded to the children.
+//   - Split: the component is frozen, its per-wire arrival history
+//     initializes the children, and the children replace it.
 //   - Merge: the assembly's entry children are frozen, the internal
 //     in-flight tokens drain (detected by the conservation invariant:
-//     every stage has processed the same number of tokens), the children's
-//     states combine into the parent, and stored tokens are forwarded to
-//     the parent.
+//     every stage has processed the same number of tokens), and the
+//     children's states combine into the parent, which replaces them.
+//
+// A split or merge commits only when its result continues the step
+// sequence the old incarnations emitted (component.SplitContinuesStep and
+// component.MergeContinuesStep). A MERGER or MIX history that tokens still
+// in flight upstream leave unshaped fails that check; the frozen
+// incarnations then thaw, and the reconfiguration retries once another
+// token has been processed.
+//
+// The paper's frozen component stores each token that reaches it and
+// forwards it once the reconfiguration is done. Here the injector drives
+// every token and already holds it, so a frozen component refuses the token
+// instead and records nothing; the injector re-resolves the token once the
+// topology snapshot it resolved against has been replaced, by a commit or
+// by a thaw.
 //
 // Every cross-component interaction is a message on an internal/transport
-// fabric: token hops are "arrive" RPCs, the freeze protocol's freeze /
-// total / kill exchanges are control RPCs, and a frozen component releases
-// its stored tokens by sending each one a "resume" control message. On the
-// default ideal in-memory fabric this is exactly as deterministic as the
-// old direct calls; built over transport.Faulty (NewOn), every one of
-// those messages can be delayed, lost, duplicated or reordered, and the
-// retry + at-most-once layer must keep counting exact (experiment E24).
+// fabric: token hops are "arrive" RPCs, and the freeze protocol's freeze /
+// total / kill / thaw exchanges are control RPCs. On the default ideal
+// in-memory fabric this is exactly as deterministic as direct calls; built
+// over transport.Faulty, every one of those messages can be delayed, lost,
+// duplicated or reordered, and the retry + at-most-once layer must keep
+// counting exact (experiment E24).
 //
 // Each component incarnation binds its own transport address ("c:<path>#
 // <generation>"), and dead incarnations stay bound: a straggling retry of
 // a message that the dead incarnation already executed is answered from
 // its dedup cache instead of leaking into a successor component, which is
-// what preserves exactly-once effects across reconfigurations. Late
-// messages addressed to replaced components are re-resolved against the
-// current cut: descending through input maps after a split, ascending
-// through the entry-child inverse after a merge.
+// what preserves exactly-once effects across reconfigurations. Tokens
+// refused by replaced components are re-resolved against the current cut:
+// descending through input maps after a split, ascending through the
+// entry-child inverse after a merge.
 //
 // Compared to internal/core (the metered structural simulator), this
 // package trades instrumentation for real concurrency; internal/core
@@ -39,6 +50,8 @@ package dist
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,54 +75,48 @@ const (
 	stateDead
 )
 
-// The message kinds and payload types on the component and token endpoints
-// are owned by internal/wire (kindArrive = wire.KindArrive and so on):
-// every body dist sends or serves is a wire codec type, so the same
-// protocol runs unchanged over the in-memory switch (bodies pass by value)
-// and over tcpnet (bodies pass through the binary codec).
+// The message kinds and payload types on the component endpoints are owned
+// by internal/wire (kindArrive = wire.KindArrive and so on): every body
+// dist sends or serves is a wire codec type, so the same protocol runs
+// unchanged over the in-memory switch (bodies pass by value) and over
+// tcpnet (bodies pass through the binary codec).
 const (
 	kindArrive      = wire.KindArrive      // token delivery to an input wire
 	kindGroupArrive = wire.KindGroupArrive // batched token delivery, one RPC per component visit
-	kindFreeze      = wire.KindFreeze      // control: stop processing, snapshot state
+	kindFreeze      = wire.KindFreeze      // control: refuse tokens, snapshot state
 	kindTotal       = wire.KindTotal       // control: report the processed-token total
-	kindKill        = wire.KindKill        // control: die and release stored tokens
-	kindResume      = wire.KindResume      // control: stored token's continuation target
+	kindKill        = wire.KindKill        // control: mark a replaced incarnation dead
+	kindThaw        = wire.KindThaw        // control: reactivate an abandoned freeze
 )
 
-// queuedToken is a token stored at a frozen component.
-type queuedToken struct {
-	wire int
-	tok  transport.Addr
-	seq  uint64
-}
+// injector is the From address of every token RPC, as "ctl" is of every
+// control RPC. Replies return on the call itself, so no token needs an
+// endpoint of its own.
+const injector transport.Addr = "inj"
 
 // comp is a live component incarnation plus its protocol state.
 type comp struct {
 	c    tree.Component
 	addr transport.Addr
 
-	// resProcessed[out] is the pre-boxed arrive reply for output wire out:
-	// the arrive RPC is the hottest message in the system, and returning a
-	// shared immutable boxed value instead of boxing a fresh arriveRes per
-	// hop removes one allocation per token per component.
+	// resProcessed[out] is the pre-boxed reply for tokens processed from
+	// output wire out on. Both arrive kinds share it: the arrive RPC is the
+	// hottest message in the system, and returning a shared immutable boxed
+	// value instead of boxing a fresh reply per visit removes one
+	// allocation per token per component.
 	resProcessed []any
 
 	mu      sync.Mutex
 	state   compState
 	total   uint64
-	arrived []uint64 // cumulative arrivals per input wire (processed + queued)
-	queue   []queuedToken
+	arrived []uint64 // cumulative processed tokens per input wire
 }
 
-// processedPerWireLocked returns arrivals minus queued, per wire: the
-// tokens this component has actually routed, broken down by input wire.
-func (c *comp) processedPerWireLocked() []uint64 {
-	out := make([]uint64, len(c.arrived))
-	copy(out, c.arrived)
-	for _, q := range c.queue {
-		out[q.wire]--
-	}
-	return out
+// topology is one published snapshot: an immutable path→component map and
+// the channel that publish closes when it installs the next snapshot.
+type topology struct {
+	comps   map[tree.Path]*comp
+	changed chan struct{}
 }
 
 // Cluster is a counting network under the asynchronous engine.
@@ -118,30 +125,24 @@ type Cluster struct {
 	tr transport.Transport
 	rc *transport.Client
 
-	gen    atomic.Uint64 // component incarnation counter (address suffix)
-	tokSeq atomic.Uint64 // token endpoint counter
-
-	// tokPrefix is the token endpoint address prefix: "t:" alone, or
-	// "t:<ns>:" under WithNamespace so partitioned processes mint
-	// disjoint, routable token addresses.
-	tokPrefix string
+	gen atomic.Uint64 // component incarnation counter (address suffix)
 
 	// Observability handles (nil when uninstrumented). Instrument and
 	// Trace must be called before traffic or reconfigurations start; the
 	// handles are then read-only for the cluster's lifetime.
-	tracer *obs.Tracer
-	reg    *obs.Registry
-	hTok   *obs.Hist // per-token injection-to-exit seconds
-	hHop   *obs.Hist // per-hop arrive RPC seconds
-	hQueue *obs.Hist // freeze-queue wait seconds (stored token until resume)
-	hDrain *obs.Hist // merge phase-2 drain-wait seconds
-	hSplit *obs.Hist // split reconfiguration seconds
-	hMerge *obs.Hist // merge reconfiguration seconds
+	tracer   *obs.Tracer
+	reg      *obs.Registry
+	hTok     *obs.Hist // per-token injection-to-exit seconds
+	hHop     *obs.Hist // per-hop arrive RPC seconds
+	hRefused *obs.Hist // refused token's wait for the topology to change
+	hDrain   *obs.Hist // merge phase-2 drain-wait seconds
+	hSplit   *obs.Hist // split reconfiguration seconds
+	hMerge   *obs.Hist // merge reconfiguration seconds
 
-	// drainCh wakes a merge waiting for its assembly to drain; any arrive
-	// that processes a token signals it (capacity 1, lossy send): the
-	// waiter re-checks conservation on every wakeup, so a coalesced or
-	// stale signal costs one extra check, never a missed one.
+	// drainCh wakes a reconfiguration waiting for tokens to be processed;
+	// any arrive that processes a token signals it (capacity 1, lossy
+	// send): the waiter re-checks on every wakeup, so a coalesced or stale
+	// signal costs one extra check, never a missed one.
 	drainCh chan struct{}
 
 	// groupLimit caps how many tokens one wire.GroupArrive RPC carries in
@@ -151,45 +152,24 @@ type Cluster struct {
 	groupLimit atomic.Int64
 	adapt      *adapt.Controller
 
-	// topo is the epoch-snapshot topology: an immutable path→component map
-	// published via atomic pointer. Tokens resolve against whatever
-	// snapshot is current when they look — no read lock, no blocking on an
-	// in-flight Split/Merge. Reconfigurations (serialized by reconfig)
-	// clone the map, mutate the clone, and publish it; the freeze protocol
-	// already handles tokens that resolved against the older snapshot (the
-	// dead incarnation answers statusDead and the token re-resolves).
-	topo atomic.Pointer[map[tree.Path]*comp]
+	// topo is the epoch-snapshot topology, published via atomic pointer.
+	// Tokens resolve against whatever snapshot is current when they look —
+	// no read lock, no blocking on an in-flight Split/Merge.
+	// Reconfigurations (serialized by reconfig) publish replacements; a
+	// token that a frozen or dead incarnation refused waits on its
+	// snapshot's changed channel and re-resolves against the next one.
+	topo atomic.Pointer[topology]
 
 	out      []atomic.Uint64 // per-output-wire emission counters
 	injected []atomic.Uint64 // per-input-wire injection counters
 
-	// eps is a bounded free-list of token endpoints. Binding a fresh
-	// endpoint per token costs an address allocation plus a map insert and
-	// delete in the fabric's switch under its lock; pooling amortizes that
-	// across tokens. A channel (not sync.Pool) so endpoints are never
-	// dropped by GC while still bound in the fabric.
-	eps chan *tokenEP
-
 	reconfig sync.Mutex // serializes Split/Merge against each other only
-}
-
-// tokenEP is a pooled token endpoint: a bound transport address plus the
-// resume mailbox. [lo, hi] is the sequence window of the tokens currently
-// using the endpoint (lo = 0 means idle): a single token holds lo = hi =
-// seq, a batch holds its whole claimed range. The endpoint handler and the
-// resume receive paths both discard messages whose Seq is outside the
-// window, so a straggling or duplicated resume for a previous occupant is
-// inert.
-type tokenEP struct {
-	addr   transport.Addr
-	resume chan wire.Resume
-	lo, hi atomic.Uint64
 }
 
 // New creates a cluster implementing BITONIC[w] with the given cut over an
 // ideal (reliable, zero-latency) in-memory fabric. Options select other
-// fabrics, retry policies, observability and namespacing; with none it
-// keeps its historical ideal-fabric behavior.
+// fabrics, retry policies and observability; with none it keeps its
+// historical ideal-fabric behavior.
 func New(w int, cut tree.Cut, opts ...Option) (*Cluster, error) {
 	return NewWith(w, cut, opts...)
 }
@@ -204,7 +184,7 @@ func NewOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryCon
 }
 
 // newOn is the real constructor behind NewWith.
-func newOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryConfig, ns string) (*Cluster, error) {
+func newOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryConfig) (*Cluster, error) {
 	if err := cut.Validate(w); err != nil {
 		return nil, err
 	}
@@ -218,19 +198,13 @@ func newOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryCon
 	if d, ok := tr.(transport.Redeliverer); ok && d.CanRedeliver() {
 		d.EnableDedup()
 	}
-	tokPrefix := "t:"
-	if ns != "" {
-		tokPrefix = "t:" + ns + ":"
-	}
 	cl := &Cluster{
-		w:         w,
-		tr:        tr,
-		rc:        transport.NewClient(tr, retry),
-		tokPrefix: tokPrefix,
-		drainCh:   make(chan struct{}, 1),
-		out:       make([]atomic.Uint64, w),
-		injected:  make([]atomic.Uint64, w),
-		eps:       make(chan *tokenEP, 256),
+		w:        w,
+		tr:       tr,
+		rc:       transport.NewClient(tr, retry),
+		drainCh:  make(chan struct{}, 1),
+		out:      make([]atomic.Uint64, w),
+		injected: make([]atomic.Uint64, w),
 	}
 	comps, err := cut.Components(w)
 	if err != nil {
@@ -244,7 +218,7 @@ func newOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryCon
 		}
 		m[c.Path] = cm
 	}
-	cl.topo.Store(&m)
+	cl.topo.Store(&topology{comps: m, changed: make(chan struct{})})
 	return cl, nil
 }
 
@@ -270,81 +244,36 @@ func (cl *Cluster) bind(cm *comp) error {
 // Pre-boxed arrive replies for the outcomes that carry no output wire.
 var (
 	resDead   any = wire.ArriveRes{Status: wire.StatusDead}
-	resQueued any = wire.ArriveRes{Status: wire.StatusQueued}
+	resFrozen any = wire.ArriveRes{Status: wire.StatusFrozen}
 )
 
 // compRPC serves one component endpoint.
 func (cl *Cluster) compRPC(cm *comp, req transport.Request) (any, error) {
 	switch req.Kind {
-	case kindArrive:
-		ar, ok := req.Body.(wire.Arrive)
-		if !ok {
-			return nil, fmt.Errorf("dist: arrive body %T", req.Body)
-		}
-		if ar.Wire < 0 || ar.Wire >= cm.c.Width {
-			return nil, fmt.Errorf("dist: arrive wire %d out of range [0,%d)", ar.Wire, cm.c.Width)
-		}
-		cm.mu.Lock()
-		switch cm.state {
-		case stateDead:
-			cm.mu.Unlock()
-			return resDead, nil
-		case stateFrozen:
-			cm.arrived[ar.Wire]++
-			cm.queue = append(cm.queue, queuedToken{wire: ar.Wire, tok: transport.Addr(ar.Token), seq: ar.Seq})
-			cm.mu.Unlock()
-			return resQueued, nil
+	case kindArrive, kindGroupArrive:
+		// A group arrive is the batched hop: one RPC delivers a whole
+		// group of tokens to this component. Per-output-wire counts depend
+		// only on how many tokens arrived, not on their interleaving with
+		// other senders, so a group visit is count-for-count identical to
+		// the same tokens arriving one by one.
+		var wires []int
+		switch b := req.Body.(type) {
+		case wire.Arrive:
+			wires = []int{b.Wire}
+		case wire.GroupArrive:
+			wires = b.Wires
 		default:
-			cm.arrived[ar.Wire]++
-			out := int(cm.total % uint64(cm.c.Width))
-			cm.total++
-			cm.mu.Unlock()
-			cl.signalDrain()
-			return cm.resProcessed[out], nil
+			return nil, fmt.Errorf("dist: %s body %T", req.Kind, req.Body)
 		}
-	case kindGroupArrive:
-		// The batched hop: one RPC delivers a whole group of tokens to this
-		// component. The reply is group-wide — a frozen component stores the
-		// entire group (each token resumes individually), an active one
-		// routes every token in arrival order under one lock acquisition.
-		// Per-output-wire counts depend only on how many tokens arrived, not
-		// on their interleaving with other senders, so a group visit is
-		// count-for-count identical to the same tokens arriving one by one.
-		ga, ok := req.Body.(wire.GroupArrive)
-		if !ok {
-			return nil, fmt.Errorf("dist: group arrive body %T", req.Body)
+		if len(wires) == 0 {
+			return nil, fmt.Errorf("dist: empty group arrive at %v", cm.c)
 		}
-		if len(ga.Wires) == 0 || len(ga.Wires) != len(ga.Seqs) {
-			return nil, fmt.Errorf("dist: group arrive %d wires, %d seqs", len(ga.Wires), len(ga.Seqs))
-		}
-		for _, w := range ga.Wires {
+		for _, w := range wires {
 			if w < 0 || w >= cm.c.Width {
-				return nil, fmt.Errorf("dist: group arrive wire %d out of range [0,%d)", w, cm.c.Width)
+				return nil, fmt.Errorf("dist: arrive wire %d out of range [0,%d)", w, cm.c.Width)
 			}
 		}
-		cm.mu.Lock()
-		switch cm.state {
-		case stateDead:
-			cm.mu.Unlock()
-			return wire.GroupArriveRes{Status: wire.StatusDead}, nil
-		case stateFrozen:
-			for i, w := range ga.Wires {
-				cm.arrived[w]++
-				cm.queue = append(cm.queue, queuedToken{wire: w, tok: transport.Addr(ga.Token), seq: ga.Seqs[i]})
-			}
-			cm.mu.Unlock()
-			return wire.GroupArriveRes{Status: wire.StatusQueued}, nil
-		default:
-			outs := make([]int, len(ga.Wires))
-			for i, w := range ga.Wires {
-				cm.arrived[w]++
-				outs[i] = int(cm.total % uint64(cm.c.Width))
-				cm.total++
-			}
-			cm.mu.Unlock()
-			cl.signalDrain()
-			return wire.GroupArriveRes{Status: wire.StatusProcessed, Outs: outs}, nil
-		}
+		return cl.arrive(cm, wires), nil
 	case kindFreeze:
 		cm.mu.Lock()
 		defer cm.mu.Unlock()
@@ -352,45 +281,69 @@ func (cl *Cluster) compRPC(cm *comp, req transport.Request) (any, error) {
 			return nil, fmt.Errorf("dist: freeze: %v is dead", cm.c)
 		}
 		cm.state = stateFrozen
-		return wire.FreezeRes{Total: cm.total, Processed: cm.processedPerWireLocked()}, nil
+		return wire.FreezeRes{Total: cm.total, Processed: slices.Clone(cm.arrived)}, nil
 	case kindTotal:
 		cm.mu.Lock()
 		defer cm.mu.Unlock()
 		return cm.total, nil
+	case kindThaw:
+		cm.mu.Lock()
+		defer cm.mu.Unlock()
+		if cm.state == stateDead {
+			return nil, fmt.Errorf("dist: thaw: %v is dead", cm.c)
+		}
+		cm.state = stateActive
+		return nil, nil
 	case kindKill:
 		cm.mu.Lock()
 		cm.state = stateDead
-		queue := cm.queue
-		cm.queue = nil
 		cm.mu.Unlock()
-		// Release stored tokens: each gets a resume control message telling
-		// it to re-enter at this component's position; delivery is async so
-		// a slow token endpoint cannot stall the kill reply.
-		for _, q := range queue {
-			q := q
-			go func() {
-				// ErrUnreachable means the token already finished (its
-				// endpoint unbound) — only possible for duplicates.
-				_, _ = cl.rc.Call(cm.addr, q.tok, kindResume, wire.Resume{Path: string(cm.c.Path), Wire: q.wire, Seq: q.seq})
-			}()
-		}
-		return len(queue), nil
+		return nil, nil
 	default:
 		return nil, fmt.Errorf("dist: unknown RPC kind %q", req.Kind)
 	}
 }
 
-// publish installs a new topology snapshot: clone the current map, apply
-// mutate, store. Only reconfigurations call it (serialized by reconfig),
-// so clone-and-swap cannot lose concurrent updates.
-func (cl *Cluster) publish(mutate func(map[tree.Path]*comp)) {
-	old := *cl.topo.Load()
-	m := make(map[tree.Path]*comp, len(old)+2)
-	for p, cm := range old {
-		m[p] = cm
+// arrive routes tokens arriving on wires through cm in arrival order under
+// one lock acquisition. Processed, the reply's Out is the first token's
+// output wire, and token i leaves on (Out+i) mod the component's width. A
+// frozen or dead incarnation refuses the whole group and records nothing,
+// so a frozen component's arrival history is exactly what it processed.
+func (cl *Cluster) arrive(cm *comp, wires []int) any {
+	cm.mu.Lock()
+	switch cm.state {
+	case stateDead:
+		cm.mu.Unlock()
+		return resDead
+	case stateFrozen:
+		cm.mu.Unlock()
+		return resFrozen
 	}
-	mutate(m)
-	cl.topo.Store(&m)
+	first := int(cm.total % uint64(cm.c.Width))
+	for _, w := range wires {
+		cm.arrived[w]++
+	}
+	cm.total += uint64(len(wires))
+	cm.mu.Unlock()
+	cl.signalDrain()
+	return cm.resProcessed[first]
+}
+
+// publish installs a new topology snapshot, then closes the old one's
+// changed channel so that the tokens refused under it re-resolve. mutate
+// edits a clone of the component map; nil republishes the same map, which
+// is how an abandoned reconfiguration wakes the tokens it refused. Only
+// reconfigurations call it (serialized by reconfig), so clone-and-swap
+// cannot lose concurrent updates.
+func (cl *Cluster) publish(mutate func(map[tree.Path]*comp)) {
+	old := cl.topo.Load()
+	next := &topology{comps: old.comps, changed: make(chan struct{})}
+	if mutate != nil {
+		next.comps = maps.Clone(old.comps)
+		mutate(next.comps)
+	}
+	cl.topo.Store(next)
+	close(old.changed)
 }
 
 // signalDrain wakes a merge waiting on the conservation invariant.
@@ -406,12 +359,12 @@ func (cl *Cluster) Width() int { return cl.w }
 
 // Size returns the number of live components.
 func (cl *Cluster) Size() int {
-	return len(*cl.topo.Load())
+	return len(cl.topo.Load().comps)
 }
 
 // Cut returns the current cut.
 func (cl *Cluster) Cut() tree.Cut {
-	comps := *cl.topo.Load()
+	comps := cl.topo.Load().comps
 	cut := make(tree.Cut, len(comps))
 	for p := range comps {
 		cut[p] = true
@@ -426,7 +379,7 @@ func (cl *Cluster) NetStats() (transport.Stats, transport.ClientStats) {
 }
 
 // Instrument routes the engine's latency distributions — per-token and
-// per-hop seconds, freeze-queue and merge-drain waits, reconfiguration
+// per-hop seconds, refused-token and merge-drain waits, reconfiguration
 // timing — into reg, along with the reliability client's RTT and retry
 // distributions. Call it before issuing traffic; the handles are read
 // without synchronization afterwards.
@@ -436,7 +389,7 @@ func (cl *Cluster) Instrument(reg *obs.Registry) {
 	}
 	cl.hTok = reg.Histogram("dist.token.seconds", 0, 0.05, 500)
 	cl.hHop = reg.Histogram("dist.hop.seconds", 0, 0.02, 400)
-	cl.hQueue = reg.Histogram("dist.queue.wait.seconds", 0, 0.05, 500)
+	cl.hRefused = reg.Histogram("dist.refused.wait.seconds", 0, 0.05, 500)
 	cl.hDrain = reg.Histogram("dist.merge.drain.seconds", 0, 0.05, 500)
 	cl.hSplit = reg.Histogram("dist.split.seconds", 0, 0.05, 500)
 	cl.hMerge = reg.Histogram("dist.merge.seconds", 0, 0.05, 500)
@@ -509,66 +462,14 @@ func (cl *Cluster) groupCap() int {
 	return 0
 }
 
-// getEP takes a token endpoint from the free-list, binding a fresh one
-// when the list is empty.
-func (cl *Cluster) getEP() (*tokenEP, error) {
-	select {
-	case ep := <-cl.eps:
-		return ep, nil
-	default:
-	}
-	ep := &tokenEP{
-		addr:   transport.Addr(fmt.Sprintf("%s%d", cl.tokPrefix, cl.tokSeq.Add(1))),
-		resume: make(chan wire.Resume, 8),
-	}
-	if err := cl.tr.Bind(ep.addr, func(req transport.Request) (any, error) {
-		rm, ok := req.Body.(wire.Resume)
-		if !ok {
-			return nil, fmt.Errorf("dist: resume body %T", req.Body)
-		}
-		if lo := ep.lo.Load(); lo != 0 && rm.Seq >= lo && rm.Seq <= ep.hi.Load() {
-			ep.resume <- rm
-		}
-		return true, nil
-	}); err != nil {
-		return nil, err
-	}
-	return ep, nil
-}
-
-// putEP returns an endpoint to the free-list, unbinding it when the list
-// is full. Stale resumes buffered by a straggler are drained first so the
-// next occupant starts with an empty mailbox.
-func (cl *Cluster) putEP(ep *tokenEP) {
-	ep.lo.Store(0)
-	ep.hi.Store(0)
-	for {
-		select {
-		case <-ep.resume:
-			continue
-		default:
-		}
-		break
-	}
-	select {
-	case cl.eps <- ep:
-	default:
-		cl.tr.Unbind(ep.addr)
-	}
-}
-
 // Inject routes one token in from network input wire in, concurrently with
 // any other tokens and any reconfiguration, and returns the output wire.
-// Every hop is an arrive RPC issued from the token's own endpoint, which
-// also receives resume control messages when a frozen component stores and
-// later releases the token.
 func (cl *Cluster) Inject(in int) (int, error) {
-	ep, err := cl.getEP()
-	if err != nil {
-		return 0, err
+	if in < 0 || in >= cl.w {
+		return 0, fmt.Errorf("dist: input wire %d out of range [0,%d)", in, cl.w)
 	}
-	defer cl.putEP(ep)
-	return cl.injectOn(ep, in)
+	cl.injected[in].Add(1)
+	return cl.route(in)
 }
 
 // InjectBatch routes len(ins) tokens as a group: at every round, tokens
@@ -584,27 +485,16 @@ func (cl *Cluster) Inject(in int) (int, error) {
 // their arrival interleaving, so delivering a group in one message is
 // count-for-count the same as delivering it one message at a time.
 //
-// The batch shares one pooled token endpoint whose resume window [lo, hi]
-// covers the whole claimed sequence range: tokens stored by a frozen
-// component re-enter the round loop when their individual resume control
-// messages land. Group routing reorders token *completion* within the
-// batch (a queued token finishes after its groupmates), but per-wire
-// counts — the network's observable output — are unaffected. It returns
-// the output wire of each token.
+// A group that a frozen component refuses parks on the channel of the
+// snapshot it was resolved against while its batchmates keep routing, and
+// re-enters the round loop once that snapshot has been replaced. Group
+// routing therefore reorders token *completion* within the batch, but
+// per-wire counts — the network's observable output — are unaffected. It
+// returns the output wire of each token.
 func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
-	for _, in := range ins {
-		if in < 0 || in >= cl.w {
-			return nil, fmt.Errorf("dist: input wire %d out of range [0,%d)", in, cl.w)
-		}
-	}
-	if len(ins) == 0 {
-		return nil, nil
-	}
-	ep, err := cl.getEP()
-	if err != nil {
+	if err := cl.checkInputs(ins); err != nil || len(ins) == 0 {
 		return nil, err
 	}
-	defer cl.putEP(ep) // clears the window and drains stragglers, once per batch
 	// One sampling decision per batch: a sampled batch's root span carries
 	// every group RPC of the batch, and its context rides each group
 	// arrive so receiving fabrics stitch server-side rpc:agroup spans to
@@ -612,78 +502,57 @@ func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 	sp := cl.tracer.Start("batch")
 	defer sp.Finish()
 	sp.Event("inject", "", int64(len(ins)))
-	hi := cl.tokSeq.Add(uint64(len(ins)))
-	base := hi - uint64(len(ins)) + 1
-	// Publish the resume window: hi first, so the endpoint handler never
-	// observes a half-open window accepting seqs above hi.
-	ep.hi.Store(hi)
-	ep.lo.Store(base)
 	// One injected-counter add per run of equal wires, all counted before
 	// the batch routes (count-then-route, as the sequential paths do).
 	for i := 0; i < len(ins); {
-		j := i
-		for j < len(ins) && ins[j] == ins[i] {
-			j++
-		}
+		j := runEnd(ins, i)
 		cl.injected[ins[i]].Add(uint64(j - i))
 		i = j
 	}
 
 	outs := make([]int, len(ins))
 	// pos[i] is token i's current network position; tokens in `active` are
-	// routable now, tokens in `waiting` are stored at a frozen component
-	// keyed by their sequence number until a resume arrives.
-	type tokenPos struct {
-		path tree.Path
-		wire int
-	}
-	pos := make([]tokenPos, len(ins))
+	// routable now, tokens in `parked` wait for a snapshot to be replaced.
+	// Groups park in round order, so parked[0] holds the oldest snapshot,
+	// whose channel closes first.
+	pos := make([]nextHop, len(ins))
 	active := make([]int, len(ins))
 	for i, in := range ins {
-		pos[i] = tokenPos{path: "", wire: in}
+		pos[i] = nextHop{wire: in}
 		active[i] = i
 	}
-	waiting := make(map[uint64]int)
-
-	// drainResumes moves resumed tokens back to the active set: always
-	// everything already buffered, and — when nothing is routable — blocking
-	// until at least one token is. Resumes outside `waiting` are stragglers
-	// (duplicated deliveries); the window filter made them rare and this
-	// makes them inert.
-	drainResumes := func() {
-		for len(waiting) > 0 {
-			var rm wire.Resume
-			if len(active) == 0 {
-				rm = <-ep.resume
-			} else {
-				select {
-				case rm = <-ep.resume:
-				default:
-					return
-				}
-			}
-			if idx, ok := waiting[rm.Seq]; ok {
-				delete(waiting, rm.Seq)
-				pos[idx] = tokenPos{path: tree.Path(rm.Path), wire: rm.Wire}
-				active = append(active, idx)
-			}
-		}
+	type parkedGroup struct {
+		changed <-chan struct{}
+		idxs    []int
 	}
+	var parked []parkedGroup
 
 	type group struct {
 		cm    *comp
 		idxs  []int
 		wires []int
-		seqs  []uint64
 	}
-	for len(active) > 0 || len(waiting) > 0 {
-		drainResumes()
+	for len(active) > 0 || len(parked) > 0 {
+		if len(active) == 0 {
+			<-parked[0].changed
+		}
+		waiting := parked[:0]
+		for _, pg := range parked {
+			select {
+			case <-pg.changed:
+				active = append(active, pg.idxs...)
+			default:
+				waiting = append(waiting, pg)
+			}
+		}
+		parked = waiting
 		// Group the routable tokens by the live component covering their
-		// position, in first-seen order.
+		// position in one snapshot, in first-seen order.
+		topo := cl.topo.Load()
 		var groups []*group
 		byComp := make(map[*comp]*group)
 		for _, idx := range active {
-			cm, rwire, err := cl.findLive(pos[idx].path, pos[idx].wire)
+			cm, rwire, err := cl.findLive(topo, pos[idx].path, pos[idx].wire)
 			if err != nil {
 				return nil, err
 			}
@@ -695,7 +564,6 @@ func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 			}
 			g.idxs = append(g.idxs, idx)
 			g.wires = append(g.wires, rwire)
-			g.seqs = append(g.seqs, base+uint64(idx))
 		}
 		active = active[:0]
 		// One cap read per round: the adapt controller (or an explicit
@@ -711,49 +579,36 @@ func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 				if limit > 0 && end-off > limit {
 					end = off + limit
 				}
-				idxs, wires, seqs := g.idxs[off:end], g.wires[off:end], g.seqs[off:end]
+				idxs, wires := g.idxs[off:end], g.wires[off:end]
 				off = end
 				var hopStart time.Time
 				if cl.hHop != nil {
 					hopStart = time.Now()
 				}
-				reply, err := cl.rc.CallSpan(ep.addr, g.cm.addr, kindGroupArrive,
-					wire.GroupArrive{Token: string(ep.addr), Wires: wires, Seqs: seqs}, sp)
+				reply, err := cl.rc.CallSpan(injector, g.cm.addr, kindGroupArrive, wire.GroupArrive{Wires: wires}, sp)
 				if err != nil {
 					return nil, fmt.Errorf("dist: group arrive at %v: %w", g.cm.c, err)
 				}
 				cl.hHop.Since(hopStart)
-				res, ok := reply.(wire.GroupArriveRes)
+				res, ok := reply.(wire.ArriveRes)
 				if !ok {
 					return nil, fmt.Errorf("dist: group arrive reply %T", reply)
 				}
 				switch res.Status {
-				case wire.StatusDead:
-					// The component was replaced between resolution and delivery;
-					// the whole group re-resolves against the current cut.
+				case wire.StatusDead, wire.StatusFrozen:
 					if sp != nil {
-						sp.Event("dead", string(g.cm.c.Path), int64(len(idxs)))
+						sp.Event(refusedEvent(res.Status), string(g.cm.c.Path), int64(len(idxs)))
 					}
 					for k, idx := range idxs {
-						pos[idx] = tokenPos{path: g.cm.c.Path, wire: wires[k]}
-						active = append(active, idx)
+						pos[idx] = nextHop{path: g.cm.c.Path, wire: wires[k]}
 					}
-				case wire.StatusQueued:
-					if sp != nil {
-						sp.Event("queued", string(g.cm.c.Path), int64(len(idxs)))
-					}
-					for k, idx := range idxs {
-						waiting[seqs[k]] = idx
-					}
+					parked = append(parked, parkedGroup{changed: topo.changed, idxs: idxs})
 				case wire.StatusProcessed:
 					if sp != nil {
 						sp.Event("group", string(g.cm.c.Path), int64(len(idxs)))
 					}
-					if len(res.Outs) != len(idxs) {
-						return nil, fmt.Errorf("dist: group arrive reply %d outs for %d tokens", len(res.Outs), len(idxs))
-					}
 					for k, idx := range idxs {
-						next, exited, netOut, err := cl.resolveNext(g.cm.c, res.Outs[k])
+						next, exited, netOut, err := cl.resolveNext(g.cm.c, (res.Out+k)%g.cm.c.Width)
 						if err != nil {
 							return nil, err
 						}
@@ -761,7 +616,7 @@ func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 							cl.out[netOut].Add(1)
 							outs[idx] = netOut
 						} else {
-							pos[idx] = tokenPos{path: next.path, wire: next.wire}
+							pos[idx] = next
 							active = append(active, idx)
 						}
 					}
@@ -774,43 +629,23 @@ func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 	return outs, nil
 }
 
-// InjectBatchSeq routes len(ins) tokens one at a time, reusing one pooled
-// token endpoint and one claimed sequence range for the whole batch. This
-// is the pre-group-message batching path — setup amortized, but still one
-// arrive RPC per token per component visit; InjectBatch collapses those
-// into one group RPC per component visit with identical counting output.
-// Kept as the reference and comparison path (experiment E28 measures the
-// two against each other on both fabrics).
+// InjectBatchSeq routes len(ins) tokens one at a time: one arrive RPC per
+// token per component visit, where InjectBatch sends one group RPC per
+// component visit with identical counting output. Kept as the reference
+// and comparison path (the oracles check InjectBatch against it, and
+// experiment E28 measures the two against each other on both fabrics).
 func (cl *Cluster) InjectBatchSeq(ins []int) ([]int, error) {
-	for _, in := range ins {
-		if in < 0 || in >= cl.w {
-			return nil, fmt.Errorf("dist: input wire %d out of range [0,%d)", in, cl.w)
-		}
-	}
-	if len(ins) == 0 {
-		return nil, nil
-	}
-	ep, err := cl.getEP()
-	if err != nil {
+	if err := cl.checkInputs(ins); err != nil || len(ins) == 0 {
 		return nil, err
 	}
-	defer cl.putEP(ep) // clears the window and drains stragglers, once per batch
-	hi := cl.tokSeq.Add(uint64(len(ins)))
-	base := hi - uint64(len(ins)) + 1
 	outs := make([]int, len(ins))
 	for i := 0; i < len(ins); {
 		// One injected-counter add per run of equal wires, counted before
-		// the run routes (the same count-then-route order injectOn uses).
-		j := i
-		for j < len(ins) && ins[j] == ins[i] {
-			j++
-		}
+		// the run routes (the same count-then-route order Inject uses).
+		j := runEnd(ins, i)
 		cl.injected[ins[i]].Add(uint64(j - i))
 		for ; i < j; i++ {
-			seq := base + uint64(i)
-			ep.hi.Store(seq)
-			ep.lo.Store(seq)
-			out, err := cl.injectOnSeq(ep, ins[i], seq)
+			out, err := cl.route(ins[i])
 			if err != nil {
 				return outs[:i], err
 			}
@@ -820,28 +655,40 @@ func (cl *Cluster) InjectBatchSeq(ins []int) ([]int, error) {
 	return outs, nil
 }
 
-// injectOn routes one token using the given (checked-out) endpoint.
-func (cl *Cluster) injectOn(ep *tokenEP, in int) (int, error) {
-	if in < 0 || in >= cl.w {
-		return 0, fmt.Errorf("dist: input wire %d out of range [0,%d)", in, cl.w)
+// checkInputs rejects a batch with any input wire out of range, before
+// any of its tokens is counted.
+func (cl *Cluster) checkInputs(ins []int) error {
+	for _, in := range ins {
+		if in < 0 || in >= cl.w {
+			return fmt.Errorf("dist: input wire %d out of range [0,%d)", in, cl.w)
+		}
 	}
-	cl.injected[in].Add(1)
-
-	seq := cl.tokSeq.Add(1)
-	ep.hi.Store(seq)
-	ep.lo.Store(seq)
-	defer func() {
-		ep.lo.Store(0)
-		ep.hi.Store(0)
-	}()
-	return cl.injectOnSeq(ep, in, seq)
+	return nil
 }
 
-// injectOnSeq routes one token whose sequence number has been claimed and
-// published to the endpoint's resume window by the caller; in has been
-// validated and counted.
-func (cl *Cluster) injectOnSeq(ep *tokenEP, in int, seq uint64) (int, error) {
+// runEnd returns the end of the run of equal wires that starts at ins[i].
+func runEnd(ins []int, i int) int {
+	j := i
+	for j < len(ins) && ins[j] == ins[i] {
+		j++
+	}
+	return j
+}
 
+// refusedEvent names the span event of a refused delivery.
+func refusedEvent(s wire.Status) string {
+	if s == wire.StatusDead {
+		return "dead"
+	}
+	return "frozen"
+}
+
+// route carries one validated and counted token from network input wire
+// in to its exit. Every hop is an arrive RPC. A refused token re-resolves
+// from the refusing component once the snapshot it resolved against has
+// been replaced: at once for a dead incarnation, whose replacement was
+// published before the kill; after the commit or thaw for a frozen one.
+func (cl *Cluster) route(in int) (int, error) {
 	sp := cl.tracer.Start("token")
 	var begin time.Time
 	if sp != nil || cl.hTok != nil {
@@ -852,7 +699,8 @@ func (cl *Cluster) injectOnSeq(ep *tokenEP, in int, seq uint64) (int, error) {
 	// root's input descent; delivery re-resolves as needed.
 	path, w := tree.Path(""), in
 	for {
-		cm, rwire, err := cl.findLive(path, w)
+		topo := cl.topo.Load()
+		cm, rwire, err := cl.findLive(topo, path, w)
 		if err != nil {
 			return 0, err
 		}
@@ -860,7 +708,7 @@ func (cl *Cluster) injectOnSeq(ep *tokenEP, in int, seq uint64) (int, error) {
 		if cl.hHop != nil {
 			hopStart = time.Now()
 		}
-		reply, err := cl.rc.CallSpan(ep.addr, cm.addr, kindArrive, wire.Arrive{Wire: rwire, Token: string(ep.addr), Seq: seq}, sp)
+		reply, err := cl.rc.CallSpan(injector, cm.addr, kindArrive, wire.Arrive{Wire: rwire}, sp)
 		if err != nil {
 			return 0, fmt.Errorf("dist: arrive at %v: %w", cm.c, err)
 		}
@@ -869,32 +717,17 @@ func (cl *Cluster) injectOnSeq(ep *tokenEP, in int, seq uint64) (int, error) {
 		if !ok {
 			return 0, fmt.Errorf("dist: arrive reply %T", reply)
 		}
-		switch res.Status {
-		case wire.StatusDead:
-			// The component was replaced between resolution and delivery;
-			// re-resolve against the current cut.
+		if res.Status == wire.StatusDead || res.Status == wire.StatusFrozen {
 			if sp != nil {
-				sp.Event("dead", string(cm.c.Path), int64(rwire))
+				sp.Event(refusedEvent(res.Status), string(cm.c.Path), int64(rwire))
 			}
+			var wait time.Time
+			if cl.hRefused != nil {
+				wait = time.Now()
+			}
+			<-topo.changed
+			cl.hRefused.Since(wait)
 			path, w = cm.c.Path, rwire
-			continue
-		case wire.StatusQueued:
-			if sp != nil {
-				sp.Event("queued", string(cm.c.Path), int64(rwire))
-			}
-			var qStart time.Time
-			if cl.hQueue != nil {
-				qStart = time.Now()
-			}
-			rt := <-ep.resume
-			for rt.Seq != seq {
-				rt = <-ep.resume // straggler for a previous occupant
-			}
-			cl.hQueue.Since(qStart)
-			if sp != nil {
-				sp.Event("resume", string(rt.Path), int64(rt.Wire))
-			}
-			path, w = tree.Path(rt.Path), rt.Wire
 			continue
 		}
 		if sp != nil {
@@ -919,13 +752,13 @@ func (cl *Cluster) injectOnSeq(ep *tokenEP, in int, seq uint64) (int, error) {
 	}
 }
 
-// findLive resolves the live component covering (path, wire): path itself,
-// a descendant (after a split: descend through input maps), or an ancestor
-// (after a merge: ascend through the entry-child inverse). This is local
-// address resolution — the analogue of core's cached out-neighbor
-// directory — not a message.
-func (cl *Cluster) findLive(path tree.Path, wire int) (*comp, int, error) {
-	comps := *cl.topo.Load()
+// findLive resolves the live component of snapshot topo covering (path,
+// wire): path itself, a descendant (after a split: descend through input
+// maps), or an ancestor (after a merge: ascend through the entry-child
+// inverse). This is local address resolution — the analogue of core's
+// cached out-neighbor directory — not a message.
+func (cl *Cluster) findLive(topo *topology, path tree.Path, wire int) (*comp, int, error) {
+	comps := topo.comps
 	// Exact or descend.
 	cur, err := tree.ComponentAt(cl.w, path)
 	if err != nil {
@@ -972,7 +805,8 @@ func (cl *Cluster) findLive(path tree.Path, wire int) (*comp, int, error) {
 	}
 }
 
-// nextHop is a resolved forwarding target.
+// nextHop is a token's position: the component path and input wire it is
+// headed for, resolved to a live component when it is delivered.
 type nextHop struct {
 	path tree.Path
 	wire int
@@ -1047,8 +881,9 @@ func (cl *Cluster) ctl(cm *comp, kind string, sp *obs.Span) (any, error) {
 
 // Split replaces the component at path p by its children while traffic
 // flows: freeze (a control RPC returning the frozen per-wire history),
-// initialize children from it, swap, and kill the old incarnation, which
-// releases its stored tokens via resume messages.
+// initialize the children from it, publish them, and kill the old
+// incarnation. A history on which the children would not continue the
+// component's output is abandoned and retried (see abandon).
 func (cl *Cluster) Split(p tree.Path) error {
 	cl.reconfig.Lock()
 	defer cl.reconfig.Unlock()
@@ -1060,7 +895,7 @@ func (cl *Cluster) Split(p tree.Path) error {
 	defer sp.Finish()
 	sp.Event("target", string(p), 0)
 
-	cm := (*cl.topo.Load())[p]
+	cm := cl.topo.Load().comps[p]
 	if cm == nil {
 		return fmt.Errorf("dist: split: no live component at %q", p)
 	}
@@ -1075,13 +910,26 @@ func (cl *Cluster) Split(p tree.Path) error {
 	}
 
 	// Freeze and snapshot the processed-per-wire history.
-	reply, err := cl.ctl(cm, kindFreeze, sp)
-	if err != nil {
-		return err
-	}
-	snap := reply.(wire.FreezeRes)
-	if sp != nil {
-		sp.Event("freeze", string(p), int64(snap.Total))
+	var snap wire.FreezeRes
+	for {
+		reply, err := cl.ctl(cm, kindFreeze, sp)
+		if err != nil {
+			return err
+		}
+		snap = reply.(wire.FreezeRes)
+		if sp != nil {
+			sp.Event("freeze", string(p), int64(snap.Total))
+		}
+		ok, err := component.SplitContinuesStep(cm.c, snap.Processed)
+		if err != nil {
+			return err
+		}
+		if ok {
+			break
+		}
+		if err := cl.abandon(sp, cm); err != nil {
+			return err
+		}
 	}
 
 	totals, flows, err := component.SplitFlows(cm.c, snap.Processed)
@@ -1098,29 +946,50 @@ func (cl *Cluster) Split(p tree.Path) error {
 	}
 
 	// Publish a fresh snapshot with the children in place of the parent.
-	// In-flight tokens holding the old snapshot hit the dead incarnation
-	// and re-resolve; tokens resolving from here on see the children.
+	// Tokens the frozen parent refused re-resolve and descend into the
+	// children; tokens resolving from here on see the children.
 	cl.publish(func(m map[tree.Path]*comp) {
 		delete(m, p)
 		for i, child := range children {
 			m[child.Path] = newComps[i]
 		}
 	})
-
 	if sp != nil {
 		sp.Event("publish", string(p), int64(len(children)))
 	}
-	// Kill the old incarnation; its stored tokens re-enter at (p, wire) and
-	// findLive descends into the children.
-	reply, err = cl.ctl(cm, kindKill, sp)
-	if err != nil {
+	if _, err := cl.ctl(cm, kindKill, sp); err != nil {
 		return err
 	}
 	if sp != nil {
-		released, _ := reply.(int)
-		sp.Event("kill", string(p), int64(released))
+		sp.Event("kill", string(p), 0)
 	}
 	cl.hSplit.Since(begin)
+	return nil
+}
+
+// abandon backs out of a split or merge whose result would not continue
+// the step sequence: it thaws the frozen incarnations cms, publishes so
+// that the tokens they refused re-resolve, and waits until a token has
+// been processed. Tokens still in flight toward the component are what
+// leave its history unshaped, so the history cannot have changed before
+// one of them is processed; a wakeup from an unrelated token costs one
+// extra freeze. The stale wakeup is dropped before the thaw, so the wait
+// ends only on a token processed after it.
+func (cl *Cluster) abandon(sp *obs.Span, cms ...*comp) error {
+	select {
+	case <-cl.drainCh:
+	default:
+	}
+	for _, cm := range cms {
+		if _, err := cl.ctl(cm, kindThaw, sp); err != nil {
+			return err
+		}
+		if sp != nil {
+			sp.Event("thaw", string(cm.c.Path), 0)
+		}
+	}
+	cl.publish(nil)
+	<-cl.drainCh
 	return nil
 }
 
@@ -1140,7 +1009,7 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 	sp := cl.tracer.Start("merge")
 	defer sp.Finish()
 	sp.Event("target", string(p), 0)
-	if (*cl.topo.Load())[p] != nil {
+	if cl.topo.Load().comps[p] != nil {
 		return fmt.Errorf("dist: merge: %q is already live", p)
 	}
 
@@ -1155,7 +1024,7 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 
 	// Recursively merge children that are split further.
 	for _, child := range children {
-		if (*cl.topo.Load())[child.Path] == nil {
+		if cl.topo.Load().comps[child.Path] == nil {
 			if err := cl.mergeLocked(child.Path); err != nil {
 				return fmt.Errorf("dist: recursive merge of %v: %w", child, err)
 			}
@@ -1163,7 +1032,7 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 	}
 	cms := make([]*comp, len(children))
 	for i, child := range children {
-		cms[i] = (*cl.topo.Load())[child.Path]
+		cms[i] = cl.topo.Load().comps[child.Path]
 	}
 	for i, cm := range cms {
 		if cm == nil {
@@ -1171,73 +1040,30 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 		}
 	}
 
-	// Phase 1: freeze the entry children; external arrivals are stored.
-	// Their freeze snapshots are final: a frozen component's total and
-	// processed history no longer change.
-	deg := len(cms)
-	entrySnaps := make([]wire.FreezeRes, 2)
-	for i, cm := range cms[:2] {
-		cm.mu.Lock()
-		active := cm.state == stateActive
-		cm.mu.Unlock()
-		if !active {
-			return fmt.Errorf("dist: merge: entry child %v is not active", cm.c)
-		}
-		reply, err := cl.ctl(cm, kindFreeze, sp)
+	// The merged counter must continue the assembly's output; a frozen
+	// assembly that has not emitted StepSeq(width, total) thaws and retries.
+	var entrySnaps [2]wire.FreezeRes
+	var totals []uint64
+	for {
+		entrySnaps, totals, err = cl.freezeAssembly(sp, parent, cms)
 		if err != nil {
 			return err
 		}
-		entrySnaps[i] = reply.(wire.FreezeRes)
-		if sp != nil {
-			sp.Event("freeze", string(cm.c.Path), int64(entrySnaps[i].Total))
+		ok, err := component.MergeContinuesStep(parent, totals)
+		if err != nil {
+			return err
 		}
-	}
-
-	// Phase 2: wait for internal in-flight tokens to drain, detected by
-	// the conservation invariant (all stages saw equally many tokens). The
-	// totals are polled with control RPCs; between polls the coordinator
-	// blocks on drainCh, which every processed token signals — no
-	// busy-wait.
-	var drainStart time.Time
-	if cl.hDrain != nil {
-		drainStart = time.Now()
-	}
-	for {
-		totals := make([]uint64, deg)
-		totals[0], totals[1] = entrySnaps[0].Total, entrySnaps[1].Total
-		for i, cm := range cms[2:] {
-			reply, err := cl.ctl(cm, kindTotal, sp)
-			if err != nil {
-				return err
-			}
-			totals[2+i] = reply.(uint64)
-		}
-		if component.CheckConservation(parent, totals) == nil {
+		if ok {
 			break
 		}
-		// Conservation not yet reached, so a token is in flight inside the
-		// assembly; its next arrive will signal. A stale or unrelated
-		// signal just costs one extra poll.
-		<-cl.drainCh
-	}
-	cl.hDrain.Since(drainStart)
-	if sp != nil {
-		sp.Event("drained", string(p), 0)
-	}
-
-	// Phase 3: freeze the remaining (now idle) children and combine state.
-	totals := make([]uint64, deg)
-	totals[0], totals[1] = entrySnaps[0].Total, entrySnaps[1].Total
-	for i, cm := range cms[2:] {
-		reply, err := cl.ctl(cm, kindFreeze, sp)
-		if err != nil {
+		if err := cl.abandon(sp, cms...); err != nil {
 			return err
 		}
-		totals[2+i] = reply.(wire.FreezeRes).Total
 	}
+
 	arrived := make([]uint64, parent.Width)
-	for i := 0; i < 2; i++ {
-		for wire, cnt := range entrySnaps[i].Processed {
+	for i, snap := range entrySnaps {
+		for wire, cnt := range snap.Processed {
 			pin, ok := tree.InvChildInput(parent.Kind, parent.Width, i, wire)
 			if ok {
 				arrived[pin] += cnt
@@ -1254,31 +1080,95 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 	}
 
 	// Phase 4: publish a fresh snapshot with the parent in place of the
-	// children.
+	// children. Tokens the frozen entry children refused re-resolve and
+	// ascend into the merged parent.
 	cl.publish(func(m map[tree.Path]*comp) {
 		for _, child := range children {
 			delete(m, child.Path)
 		}
 		m[p] = merged
 	})
-
 	if sp != nil {
 		sp.Event("publish", string(p), int64(len(children)))
 	}
-	// Phase 5: kill the children; their stored tokens re-enter at
-	// (child, wire) and findLive ascends into the merged parent.
+	// Phase 5: kill the children.
 	for _, cm := range cms {
-		reply, err := cl.ctl(cm, kindKill, sp)
-		if err != nil {
+		if _, err := cl.ctl(cm, kindKill, sp); err != nil {
 			return err
 		}
 		if sp != nil {
-			released, _ := reply.(int)
-			sp.Event("kill", string(cm.c.Path), int64(released))
+			sp.Event("kill", string(cm.c.Path), 0)
 		}
 	}
 	cl.hMerge.Since(begin)
 	return nil
+}
+
+// freezeAssembly runs merge phases 1-3 over the children cms of parent and
+// returns the entry children's freeze snapshots and every child's final
+// total.
+func (cl *Cluster) freezeAssembly(sp *obs.Span, parent tree.Component, cms []*comp) (entrySnaps [2]wire.FreezeRes, totals []uint64, err error) {
+	totals = make([]uint64, len(cms))
+	// Phase 1: freeze the entry children; external arrivals are refused.
+	// Their freeze snapshots are final: a frozen component's total and
+	// processed history no longer change.
+	for i, cm := range cms[:2] {
+		cm.mu.Lock()
+		active := cm.state == stateActive
+		cm.mu.Unlock()
+		if !active {
+			return entrySnaps, nil, fmt.Errorf("dist: merge: entry child %v is not active", cm.c)
+		}
+		reply, err := cl.ctl(cm, kindFreeze, sp)
+		if err != nil {
+			return entrySnaps, nil, err
+		}
+		entrySnaps[i] = reply.(wire.FreezeRes)
+		totals[i] = entrySnaps[i].Total
+		if sp != nil {
+			sp.Event("freeze", string(cm.c.Path), int64(totals[i]))
+		}
+	}
+
+	// Phase 2: wait for internal in-flight tokens to drain, detected by
+	// the conservation invariant (all stages saw equally many tokens). The
+	// totals are polled with control RPCs; between polls the coordinator
+	// blocks on drainCh, which every processed token signals — no
+	// busy-wait.
+	var drainStart time.Time
+	if cl.hDrain != nil {
+		drainStart = time.Now()
+	}
+	for {
+		for i, cm := range cms[2:] {
+			reply, err := cl.ctl(cm, kindTotal, sp)
+			if err != nil {
+				return entrySnaps, nil, err
+			}
+			totals[2+i] = reply.(uint64)
+		}
+		if component.CheckConservation(parent, totals) == nil {
+			break
+		}
+		// Conservation not yet reached, so a token is in flight inside the
+		// assembly; its next arrive will signal. A stale or unrelated
+		// signal just costs one extra poll.
+		<-cl.drainCh
+	}
+	cl.hDrain.Since(drainStart)
+	if sp != nil {
+		sp.Event("drained", string(parent.Path), 0)
+	}
+
+	// Phase 3: freeze the remaining (now idle) children.
+	for i, cm := range cms[2:] {
+		reply, err := cl.ctl(cm, kindFreeze, sp)
+		if err != nil {
+			return entrySnaps, nil, err
+		}
+		totals[2+i] = reply.(wire.FreezeRes).Total
+	}
+	return entrySnaps, totals, nil
 }
 
 // EffectiveWidth computes Definition 1.1 for the cluster's current cut.

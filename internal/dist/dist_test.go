@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/component"
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/tree"
@@ -309,7 +311,7 @@ func TestFindLiveAscendAfterMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "00" was an entry child of "0", which was an entry child of the root.
-	cm, wire, err := cl.findLive("00", 1)
+	cm, wire, err := cl.findLive(cl.topo.Load(), "00", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +323,7 @@ func TestFindLiveAscendAfterMerge(t *testing.T) {
 	}
 	// A non-entry child has no upward wire mapping; such tokens can only
 	// exist while the assembly drains, so after the merge this is an error.
-	if _, _, err := cl.findLive("2", 0); err == nil {
+	if _, _, err := cl.findLive(cl.topo.Load(), "2", 0); err == nil {
 		t.Fatal("stranded non-entry delivery should error")
 	}
 }
@@ -337,7 +339,7 @@ func TestFindLiveDescendsAfterSplit(t *testing.T) {
 	if err := cl.Split(""); err != nil {
 		t.Fatal(err)
 	}
-	cm, wire, err := cl.findLive("", 5)
+	cm, wire, err := cl.findLive(cl.topo.Load(), "", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +357,7 @@ func TestArriveOnDeadComponent(t *testing.T) {
 		t.Fatal(err)
 	}
 	cm := &comp{c: tree.MustRoot(4), state: stateDead, arrived: make([]uint64, 4)}
-	reply, err := cl.compRPC(cm, transport.Request{Kind: kindArrive, Body: wire.Arrive{Wire: 0, Token: "t:test"}})
+	reply, err := cl.compRPC(cm, transport.Request{Kind: kindArrive, Body: wire.Arrive{Wire: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,30 +369,45 @@ func TestArriveOnDeadComponent(t *testing.T) {
 	}
 }
 
-// TestArriveOnFrozenComponentQueues: an arrive RPC at a frozen component is
-// stored with the token's endpoint, to be released by a resume message.
-func TestArriveOnFrozenComponentQueues(t *testing.T) {
+// newTestComp binds a fresh root incarnation of cl in the given state.
+func newTestComp(t *testing.T, cl *Cluster, state compState) *comp {
+	t.Helper()
+	cm := &comp{c: tree.MustRoot(cl.w), state: state, arrived: make([]uint64, cl.w)}
+	if err := cl.bind(cm); err != nil {
+		t.Fatal(err)
+	}
+	return cm
+}
+
+// TestArriveOnFrozenComponentRefuses: an arrive RPC at a frozen component
+// is refused with StatusFrozen and leaves no trace, so the frozen history
+// is exactly the processed one; after a thaw the same incarnation routes
+// the token.
+func TestArriveOnFrozenComponentRefuses(t *testing.T) {
 	cl, err := NewRootOnly(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := &comp{c: tree.MustRoot(4), state: stateFrozen, arrived: make([]uint64, 4)}
-	reply, err := cl.compRPC(cm, transport.Request{Kind: kindArrive, Body: wire.Arrive{Wire: 2, Token: "t:test"}})
+	cm := newTestComp(t, cl, stateFrozen)
+	reply, err := cl.compRPC(cm, transport.Request{Kind: kindArrive, Body: wire.Arrive{Wire: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := reply.(wire.ArriveRes); res.Status != wire.StatusQueued {
-		t.Fatalf("status = %v, want statusQueued", res.Status)
+	if res := reply.(wire.ArriveRes); res.Status != wire.StatusFrozen {
+		t.Fatalf("status = %v, want StatusFrozen", res.Status)
 	}
-	if cm.arrived[2] != 1 || len(cm.queue) != 1 {
-		t.Fatalf("arrival not recorded: %+v", cm)
+	if cm.arrived[2] != 0 || cm.total != 0 {
+		t.Fatalf("frozen component recorded a refused token: %+v", cm)
 	}
-	if q := cm.queue[0]; q.wire != 2 || q.tok != "t:test" {
-		t.Fatalf("queued token = %+v", q)
+	if _, err := cl.compRPC(cm, transport.Request{Kind: kindThaw}); err != nil {
+		t.Fatal(err)
 	}
-	// The stored token does not count as processed.
-	if p := cm.processedPerWireLocked(); p[2] != 0 {
-		t.Fatalf("processed = %v, want stored token excluded", p)
+	reply, err = cl.compRPC(cm, transport.Request{Kind: kindArrive, Body: wire.Arrive{Wire: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := reply.(wire.ArriveRes); res.Status != wire.StatusProcessed || cm.arrived[2] != 1 {
+		t.Fatalf("thawed component: reply %+v, arrived %v", res, cm.arrived)
 	}
 }
 
@@ -413,7 +430,7 @@ func TestClusterEffectiveWidthDepth(t *testing.T) {
 }
 
 // TestInstrumentedUnderReconfig: the engine's histograms and token spans
-// capture hop latency, freeze-queue waits and reconfiguration timing while
+// capture hop latency, refused-token waits and reconfiguration timing while
 // traffic races a split and a merge.
 func TestInstrumentedUnderReconfig(t *testing.T) {
 	w := 8
@@ -501,7 +518,7 @@ func TestInstrumentedUnderReconfig(t *testing.T) {
 			switch e.Kind {
 			case "hop":
 				hops++
-			case "queued", "resume", "dead", "exit", "retry":
+			case "frozen", "dead", "exit", "retry":
 			default:
 				t.Fatalf("unexpected event kind %q", e.Kind)
 			}
@@ -509,5 +526,86 @@ func TestInstrumentedUnderReconfig(t *testing.T) {
 	}
 	if hops == 0 {
 		t.Fatal("no hop events recorded")
+	}
+}
+
+// waitClosed fails the test unless ch is closed within a few seconds.
+func waitClosed(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// TestSplitWaitsForShapedHistory: a MERGER whose input history is not
+// shaped — a token still on its way to the bottom half — cannot split
+// without breaking the step sequence. The split thaws the component,
+// republishes the same topology, and commits only after the missing token
+// has been processed.
+func TestSplitWaitsForShapedHistory(t *testing.T) {
+	cl, err := New(8, mustCut(t, 8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := cl.topo.Load().comps["2"] // MERGER[4]
+	arrive := func(w int) {
+		t.Helper()
+		reply, err := cl.compRPC(m, transport.Request{Kind: kindArrive, Body: wire.Arrive{Wire: w}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := reply.(wire.ArriveRes); res.Status != wire.StatusProcessed {
+			t.Fatalf("arrive on wire %d: status %v", w, res.Status)
+		}
+	}
+	// History (3,2,0,1): the bottom half (0,1) is not a step sequence.
+	for _, w := range []int{0, 0, 0, 1, 1, 3} {
+		arrive(w)
+	}
+	before := cl.topo.Load()
+	done := make(chan error, 1)
+	go func() { done <- cl.Split("2") }()
+
+	// The abandoned attempt republishes the same components.
+	waitClosed(t, before.changed, "the abandoned split to republish")
+	select {
+	case err := <-done:
+		t.Fatalf("split returned (%v) on an unshaped history", err)
+	default:
+	}
+	if cl.topo.Load().comps["2"] != m {
+		t.Fatal("split published children for an unshaped history")
+	}
+	m.mu.Lock()
+	state := m.state
+	m.mu.Unlock()
+	if state != stateActive {
+		t.Fatalf("abandoned split left the component in state %d, want active", state)
+	}
+
+	// The straggler lands on the bottom half: (3,2,1,1) is shaped.
+	arrive(2)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("split did not commit on a shaped history")
+	}
+	comps := cl.topo.Load().comps
+	if comps["2"] != nil {
+		t.Fatal("split committed but the parent is still live")
+	}
+	totals, err := component.SplitTotalsFromInputs(m.c, []uint64{3, 2, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, child := range m.c.Children() {
+		if got := comps[child.Path].total; got != totals[i] {
+			t.Fatalf("child %v total %d, want %d", child, got, totals[i])
+		}
 	}
 }

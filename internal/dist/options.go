@@ -1,9 +1,6 @@
 package dist
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/adapt"
 	"repro/internal/obs"
 	"repro/internal/transport"
@@ -22,7 +19,6 @@ type options struct {
 	retry       transport.RetryConfig
 	reg         *obs.Registry
 	adapt       *adapt.Controller
-	ns          string
 	traceEvery  int
 	traceRetain int
 }
@@ -62,18 +58,6 @@ func WithTrace(every, retain int) Option {
 	return func(o *options) { o.traceEvery, o.traceRetain = every, retain }
 }
 
-// WithNamespace tags the cluster's token endpoint addresses: "t:<n>"
-// becomes "t:<ns>:<n>". In a partitioned run every process builds the
-// same cluster, so without a namespace two processes would mint
-// identical token addresses and a resume routed across the partition
-// boundary could land on the wrong process's endpoint. The trailing
-// separator keeps namespaces prefix-disjoint ("p1" never captures
-// "p10"), so "t:<ns>:" is a safe Route prefix. The namespace must not
-// contain ':'.
-func WithNamespace(ns string) Option {
-	return func(o *options) { o.ns = ns }
-}
-
 // NewWith creates a cluster implementing BITONIC[w] with the given cut,
 // configured by opts. This is the construction path everything else
 // funnels into: New and NewOn are thin wrappers over it.
@@ -85,10 +69,7 @@ func NewWith(w int, cut tree.Cut, opts ...Option) (*Cluster, error) {
 	if o.tr == nil {
 		o.tr = transport.NewMem()
 	}
-	if strings.Contains(o.ns, ":") {
-		return nil, fmt.Errorf("dist: namespace %q contains ':'", o.ns)
-	}
-	cl, err := newOn(w, cut, o.tr, o.retry, o.ns)
+	cl, err := newOn(w, cut, o.tr, o.retry)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/transport"
 	"repro/internal/tree"
 )
 
@@ -49,9 +50,10 @@ func TestInjectBatchCounts(t *testing.T) {
 }
 
 // TestInjectBatchDuringReconfig races batched and single-token injection
-// against split/merge cycles: the endpoint-pooled resume path must never
-// cross-deliver a resume meant for a previous token, and the quiescent
-// network must still satisfy the step property.
+// against split/merge cycles: tokens refused by frozen components must
+// re-resolve and finish exactly once, so the network emits every token
+// the clients injected, and the quiescent network must still satisfy the
+// step property.
 func TestInjectBatchDuringReconfig(t *testing.T) {
 	w := 8
 	cl, err := NewRootOnly(w)
@@ -68,7 +70,7 @@ func TestInjectBatchDuringReconfig(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			var count uint64
-			defer injected.Store(g, count)
+			defer func() { injected.Store(g, count) }()
 			batch := make([]int, 16)
 			for {
 				select {
@@ -126,22 +128,44 @@ func TestInjectBatchDuringReconfig(t *testing.T) {
 	}
 }
 
-// TestEndpointPoolReuse checks pooled token endpoints are actually reused
-// across sequential injections instead of binding a fresh transport
-// address per token.
-func TestEndpointPoolReuse(t *testing.T) {
+// bindCounter is a fabric that counts the addresses bound on it.
+type bindCounter struct {
+	transport.Transport
+	binds int
+}
+
+func (b *bindCounter) Bind(a transport.Addr, h transport.Handler) error {
+	b.binds++
+	return b.Transport.Bind(a, h)
+}
+
+// TestInjectBindsNoEndpoints checks that tokens travel without transport
+// endpoints of their own: only component incarnations bind addresses, and
+// every injection path's replies return on the call itself.
+func TestInjectBindsNoEndpoints(t *testing.T) {
 	w := 4
-	cl, err := New(w, tree.LeafCut(w))
+	tr := &bindCounter{Transport: transport.NewMem()}
+	cl, err := New(w, tree.LeafCut(w), WithTransport(tr))
 	if err != nil {
 		t.Fatal(err)
+	}
+	comps := tr.binds
+	if comps != cl.Size() {
+		t.Fatalf("construction bound %d addresses for %d components", comps, cl.Size())
 	}
 	for i := 0; i < 50; i++ {
 		if _, err := cl.Inject(i % w); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := len(cl.eps); n != 1 {
-		t.Fatalf("sequential injection left %d pooled endpoints, want 1", n)
+	if _, err := cl.InjectBatch([]int{0, 1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.InjectBatchSeq([]int{3, 2, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if tr.binds != comps {
+		t.Fatalf("injection bound %d addresses, want none", tr.binds-comps)
 	}
 }
 

@@ -134,7 +134,7 @@ func E32Partitioned(opts Options) (*Table, error) {
 				res.Conserved, res.StepOK)
 		}
 	}
-	t.Note("every cell drives the identical %d-token arrival sequence through the same level-%d cut (%d components) with %d senders in %d-token bursts; the Nproc rows run the real partitioned worker runtime (per-partition fabrics, namespaced token endpoints, routed cross-partition visits) in one process — the same code path cmd/acnnode runs as separate OS processes", tokens, level, len(cut), senders, burst)
+	t.Note("every cell drives the identical %d-token arrival sequence through the same level-%d cut (%d components) with %d senders in %d-token bursts; the Nproc rows run the real partitioned worker runtime (per-partition fabrics, disjoint request-ID spaces, routed cross-partition visits) in one process — the same code path cmd/acnnode runs as separate OS processes", tokens, level, len(cut), senders, burst)
 	t.Note("wire KB for Nproc rows sums every partition's fabric bytes, so it includes the coordinator's control plane; the mem baseline has no wire at all")
 	return t, nil
 }

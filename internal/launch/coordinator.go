@@ -156,7 +156,7 @@ func (c *Coordinator) Ping() error {
 }
 
 // Wire pushes the peer address map to every worker, which installs the
-// cross-partition component, token-namespace and ctl routes.
+// cross-partition component and ctl routes.
 func (c *Coordinator) Wire() error {
 	_, err := c.broadcast(func(*Partition, int) *ctlReq {
 		return &ctlReq{Op: "wire", Peers: c.addrs}

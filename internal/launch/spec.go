@@ -8,11 +8,12 @@
 // across processes byte for byte). Each worker owns a subset of the cut;
 // for every component it does not own it installs a Route sending that
 // component's address prefix to the owner's listener, so its local copy
-// is shadowed and the owner's copy is the single authority. Token
-// endpoint addresses are namespaced per partition (dist.WithNamespace),
-// and each partition's retry client draws request IDs from a disjoint
-// range (transport.RetryConfig.IDBase) so receiver dedup tables never
-// alias calls from different processes.
+// is shadowed and the owner's copy is the single authority. Tokens need no
+// addresses: every token RPC's reply returns on the call itself, so no
+// cross-process message ever targets an injector. Each partition's retry
+// client draws request IDs from a disjoint range
+// (transport.RetryConfig.IDBase) so receiver dedup tables never alias
+// calls from different processes.
 //
 // A coordinator process reads the same Spec, bootstraps the workers
 // (readiness handshake, graceful shutdown), drives the workload over a
@@ -53,10 +54,10 @@ type Workload struct {
 // Partition assigns one worker process its identity: a unique name, a
 // listen address, and the component paths it owns.
 type Partition struct {
-	// Name is the partition's identity: it namespaces the worker's token
-	// endpoints and names its Perfetto process row. Must be unique, must
-	// not contain ':', and no name may be a prefix of another (names are
-	// used as route prefixes).
+	// Name is the partition's identity: it names the worker's control
+	// address and its Perfetto process row. Must be unique, and no name
+	// may be a prefix of another (control addresses are used as route
+	// prefixes).
 	Name string `json:"name"`
 	// Listen is the worker's host:port; empty means "127.0.0.1:0"
 	// (loopback, kernel-assigned port — the coordinator learns the real
@@ -129,9 +130,6 @@ func (s *Spec) Validate() error {
 		if p.Name == "" {
 			return fmt.Errorf("launch: partition with empty name")
 		}
-		if strings.Contains(p.Name, ":") {
-			return fmt.Errorf("launch: partition name %q contains ':'", p.Name)
-		}
 		if names[p.Name] {
 			return fmt.Errorf("launch: duplicate partition name %q", p.Name)
 		}
@@ -147,8 +145,8 @@ func (s *Spec) Validate() error {
 			owned[path] = p.Name
 		}
 	}
-	// Prefix-free names keep "t:<name>:" and "ctl:<name>" unambiguous as
-	// route prefixes even before longest-prefix resolution breaks ties.
+	// Prefix-free names keep "ctl:<name>" unambiguous as a route prefix
+	// even before longest-prefix resolution breaks ties.
 	for a := range names {
 		for b := range names {
 			if a != b && strings.HasPrefix(b, a) {

@@ -95,8 +95,8 @@ type Worker struct {
 }
 
 // StartWorker builds and starts the named partition from spec: fabric
-// listening on the partition's address, full cluster with namespaced
-// token endpoints and a disjoint request-ID space, observability
+// listening on the partition's address, full cluster with a disjoint
+// request-ID space, observability
 // (registry, tracer, server-side RPC spans), and the bound control
 // endpoint. The worker serves remote traffic immediately; cross-partition
 // routes are installed later by the coordinator's "wire" command, after
@@ -125,7 +125,6 @@ func StartWorker(spec *Spec, name string) (*Worker, error) {
 	opts := []dist.Option{
 		dist.WithTransport(tn),
 		dist.WithRetry(retry),
-		dist.WithNamespace(name),
 		dist.WithObs(reg),
 	}
 	if spec.TraceEvery > 0 {
@@ -262,8 +261,9 @@ func (w *Worker) serve(c *ctlReq) *ctlRes {
 
 // wirePeers installs the cross-partition routes: every peer's owned
 // component prefixes point at the peer's listener (shadowing this
-// worker's local copies), and the peer's token-endpoint namespace routes
-// back for resume traffic. Re-wiring with the same map is idempotent.
+// worker's local copies), and the peer's control address routes to it
+// too. Token replies return on the calls themselves, so no route leads
+// back to an injector. Re-wiring with the same map is idempotent.
 func (w *Worker) wirePeers(peers map[string]string) error {
 	for _, p := range w.spec.Partitions {
 		if p.Name == w.Name {
@@ -280,9 +280,6 @@ func (w *Worker) wirePeers(peers map[string]string) error {
 			if err := w.Net.Route("c:"+comp+"#", addr); err != nil {
 				return err
 			}
-		}
-		if err := w.Net.Route("t:"+p.Name+":", addr); err != nil {
-			return err
 		}
 		if err := w.Net.Route(string(ctlAddr(p.Name)), addr); err != nil {
 			return err

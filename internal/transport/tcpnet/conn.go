@@ -167,10 +167,8 @@ func (cn *conn) send(of outFrame, timeout time.Duration) error {
 	cn.qmu.Lock()
 	if cn.writing {
 		cn.queue = append(cn.queue, of)
-		depth := len(cn.queue)
+		cn.queued(1)
 		cn.qmu.Unlock()
-		cn.n.qdepth.Store(int64(depth))
-		cn.n.ins().gQueue.Set(int64(depth))
 		return nil
 	}
 	cn.writing = true
@@ -191,12 +189,19 @@ func (cn *conn) send(of outFrame, timeout time.Duration) error {
 func (cn *conn) sendCorked(of outFrame) bool {
 	cn.qmu.Lock()
 	cn.queue = append(cn.queue, of)
-	depth := len(cn.queue)
+	cn.queued(1)
 	owed := !cn.writing
 	cn.qmu.Unlock()
-	cn.n.qdepth.Store(int64(depth))
-	cn.n.ins().gQueue.Set(int64(depth))
 	return owed
+}
+
+// queued moves the Net-wide queue-depth gauges by delta frames. Callers
+// hold qmu, so every conn's enqueues and batch takes are applied in the
+// order they changed its queue: the gauges read the sum of all conns'
+// queue lengths, never a stale length stored after a concurrent drain.
+func (cn *conn) queued(delta int) {
+	cn.n.qdepth.Add(int64(delta))
+	cn.n.ins().gQueue.Add(int64(delta))
 }
 
 // flushCorked claims the write token if it is free and drains the queue.
@@ -230,6 +235,7 @@ func (cn *conn) drain() {
 		batch := cn.queue
 		cn.queue = cn.spare[:0]
 		cn.spare = batch
+		cn.queued(-len(batch))
 		iov := cn.iov[:0]
 		cn.qmu.Unlock()
 
@@ -246,10 +252,7 @@ func (cn *conn) drain() {
 		} else {
 			cn.wrote(total, len(batch))
 		}
-		cn.n.qdepth.Store(0)
-		ins := cn.n.ins()
-		ins.hFlush.Observe(float64(len(batch)))
-		ins.gQueue.Set(0)
+		cn.n.ins().hFlush.Observe(float64(len(batch)))
 		for _, of := range batch {
 			if of.enc != nil {
 				putEncoder(of.enc)

@@ -121,9 +121,9 @@ type WireStats struct {
 	Frames    uint64 // frames those writes carried; Frames/Writes is the coalescing factor
 	Spills    uint64 // inbound requests served past the worker pool on spillover goroutines
 	// QueueDepth mirrors the tcpnet.flush.queue gauge without requiring a
-	// registry: the depth of a conn's coalescing write queue at the last
-	// enqueue or flush (0 when senders are uncontended). The adapt
-	// controller samples it as a wire-contention signal.
+	// registry: the frames waiting in all conns' coalescing write queues
+	// (0 when senders are uncontended). The adapt controller samples it as
+	// a wire-contention signal.
 	QueueDepth int64
 }
 
@@ -200,7 +200,7 @@ type instruments struct {
 	gConn    *obs.Gauge
 	gDialing *obs.Gauge // dial slots currently held by in-progress dials
 	gCooling *obs.Gauge // destination pools inside a post-failure cooldown
-	gQueue   *obs.Gauge // depth of a conn's write queue at last enqueue
+	gQueue   *obs.Gauge // frames waiting in all conns' write queues
 }
 
 var noInstr = &instruments{}

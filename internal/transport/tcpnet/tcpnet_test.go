@@ -57,9 +57,8 @@ func TestRequestReply(t *testing.T) {
 // receive after decode must be the same typed values they sent.
 func TestTypedPayloads(t *testing.T) {
 	n := newNet(t)
-	arrive := wire.Arrive{Wire: 3, Token: "t:9", Seq: 77}
-	group := wire.GroupArrive{Token: "t:9", Wires: []int{0, 5, 2}, Seqs: []uint64{7, 8, 9}}
-	resume := wire.Resume{Path: "01", Wire: 4, Seq: 12}
+	arrive := wire.Arrive{Wire: 3}
+	group := wire.GroupArrive{Wires: []int{0, 5, 2}}
 	if err := n.Bind("c:x#1", func(req transport.Request) (any, error) {
 		switch req.Kind {
 		case wire.KindArrive:
@@ -69,21 +68,19 @@ func TestTypedPayloads(t *testing.T) {
 			return wire.ArriveRes{Status: wire.StatusProcessed, Out: 6}, nil
 		case wire.KindGroupArrive:
 			g := req.Body.(wire.GroupArrive)
-			if g.Token != group.Token || len(g.Wires) != 3 || g.Wires[1] != 5 || g.Seqs[2] != 9 {
+			if len(g.Wires) != 3 || g.Wires[1] != 5 || g.Wires[2] != 2 {
 				return nil, fmt.Errorf("group body %+v", g)
 			}
-			return wire.GroupArriveRes{Status: wire.StatusProcessed, Outs: []int{1, 2, 3}}, nil
+			return wire.ArriveRes{Status: wire.StatusFrozen, Out: 1}, nil
 		case wire.KindFreeze:
 			return wire.FreezeRes{Total: 10, Processed: []uint64{4, 6}}, nil
 		case wire.KindTotal:
 			return uint64(10), nil
-		case wire.KindKill:
-			return 2, nil
-		case wire.KindResume:
-			if req.Body.(wire.Resume) != resume {
-				return nil, fmt.Errorf("resume body %+v", req.Body)
+		case wire.KindKill, wire.KindThaw:
+			if req.Body != nil {
+				return nil, fmt.Errorf("%s body %+v", req.Kind, req.Body)
 			}
-			return true, nil
+			return nil, nil
 		}
 		return nil, fmt.Errorf("kind %q", req.Kind)
 	}); err != nil {
@@ -101,9 +98,8 @@ func TestTypedPayloads(t *testing.T) {
 	if r := send(wire.KindArrive, arrive).(wire.ArriveRes); r.Out != 6 || r.Status != wire.StatusProcessed {
 		t.Fatalf("arrive reply %+v", r)
 	}
-	gr := send(wire.KindGroupArrive, group).(wire.GroupArriveRes)
-	if gr.Status != wire.StatusProcessed || len(gr.Outs) != 3 || gr.Outs[2] != 3 {
-		t.Fatalf("group reply %+v", gr)
+	if r := send(wire.KindGroupArrive, group).(wire.ArriveRes); r.Out != 1 || r.Status != wire.StatusFrozen {
+		t.Fatalf("group reply %+v", r)
 	}
 	fr := send(wire.KindFreeze, nil).(wire.FreezeRes)
 	if fr.Total != 10 || len(fr.Processed) != 2 || fr.Processed[1] != 6 {
@@ -112,11 +108,10 @@ func TestTypedPayloads(t *testing.T) {
 	if v := send(wire.KindTotal, nil).(uint64); v != 10 {
 		t.Fatalf("total reply %v", v)
 	}
-	if v := send(wire.KindKill, nil).(int); v != 2 {
-		t.Fatalf("kill reply %v", v)
-	}
-	if v := send(wire.KindResume, resume).(bool); !v {
-		t.Fatal("resume reply false")
+	for _, kind := range []string{wire.KindKill, wire.KindThaw} {
+		if v := send(kind, nil); v != nil {
+			t.Fatalf("%s reply %v", kind, v)
+		}
 	}
 }
 

@@ -32,8 +32,8 @@ import (
 )
 
 // Addr is a transport endpoint address. Conventional namespaces: "n:<id>"
-// for overlay nodes, "c:<path>" for live components, "t:<id>" for in-flight
-// tokens, "ctl" for reconfiguration coordinators.
+// for overlay nodes, "c:<path>" for live components; "inj" (token
+// injectors) and "ctl" (reconfiguration coordinators) only send.
 type Addr string
 
 // Request is one transport-level message: a request that expects a reply.

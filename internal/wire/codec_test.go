@@ -24,7 +24,7 @@ func roundTripEnvelopes(t *testing.T, kind string, mux uint64, body, reply any) 
 	}
 	req := transport.Request{
 		ID:   mux ^ 0x9e3779b9,
-		From: "t:src",
+		From: "inj",
 		To:   "c:dst#1",
 		Kind: kind,
 		// Derive the trace context from mux so fuzz inputs sweep it
@@ -88,22 +88,20 @@ var kindCases = []struct {
 	body  any
 	reply any
 }{
-	{KindArrive, Arrive{Wire: -3, Token: "t:12#4", Seq: 1 << 40}, ArriveRes{Status: StatusQueued, Out: 7}},
-	{KindGroupArrive,
-		GroupArrive{Token: "t:9", Wires: []int{0, 5, -1}, Seqs: []uint64{3, 4, 1 << 60}},
-		GroupArriveRes{Status: StatusProcessed, Outs: []int{2, 0, 9}}},
+	{KindArrive, Arrive{Wire: -3}, ArriveRes{Status: StatusFrozen, Out: 7}},
+	{KindGroupArrive, GroupArrive{Wires: []int{0, 5, -1}}, ArriveRes{Status: StatusProcessed, Out: 2}},
 	{KindFreeze, nil, FreezeRes{Total: 99, Processed: []uint64{0, 1, 1 << 33}}},
 	{KindTotal, nil, uint64(1<<64 - 1)},
-	{KindKill, nil, int(-17)},
-	{KindResume, Resume{Path: "0110", Wire: 3, Seq: 8}, true},
+	{KindKill, nil, nil},
 	{KindCPF, uint64(0xdead), uint64(0xbeef)},
 	{KindProbe, uint64(41), uint64(42)},
 	{KindCtl, Blob(`{"op":"run","tokens":64}`), Blob(`{"ok":true}`)},
+	{KindThaw, nil, nil},
 }
 
 func TestRegistry(t *testing.T) {
 	want := []string{KindArrive, KindGroupArrive, KindFreeze, KindTotal,
-		KindKill, KindResume, KindCPF, KindProbe, KindCtl}
+		KindKill, KindCPF, KindProbe, KindCtl, KindThaw}
 	if got := Kinds(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Kinds() = %v, want %v", got, want)
 	}
@@ -126,6 +124,13 @@ func TestRegistry(t *testing.T) {
 	if _, ok := ByCode(200); ok {
 		t.Fatal("ByCode accepted code 200")
 	}
+	// The retired resume kind keeps its code unassigned.
+	if _, ok := ByCode(6); ok {
+		t.Fatal("ByCode accepted the retired resume code 6")
+	}
+	if _, ok := ByKind(KindResume); ok {
+		t.Fatal("ByKind accepted the retired resume kind")
+	}
 }
 
 func TestRoundTripAllKinds(t *testing.T) {
@@ -134,7 +139,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 	}
 	// Empty group and empty freeze snapshot: zero-length slices decode as
 	// nil, so nil is the canonical empty form.
-	roundTripEnvelopes(t, KindGroupArrive, 1, GroupArrive{Token: "t:0"}, GroupArriveRes{Status: StatusDead})
+	roundTripEnvelopes(t, KindGroupArrive, 1, GroupArrive{}, ArriveRes{Status: StatusDead})
 	roundTripEnvelopes(t, KindFreeze, 2, nil, FreezeRes{Total: 0})
 }
 
@@ -163,10 +168,6 @@ func TestEncodeRejectsWrongBody(t *testing.T) {
 	if err := EncodeReply(e, 1, 200, ReplyOK, nil, ""); !errors.Is(err, ErrUnknownKind) {
 		t.Fatalf("EncodeReply(unknown code) = %v, want ErrUnknownKind", err)
 	}
-	gc, _ := ByKind(KindGroupArrive)
-	if err := gc.EncodeReq(e, GroupArrive{Wires: []int{1}, Seqs: nil}); err == nil {
-		t.Fatal("EncodeReq accepted group with mismatched wires/seqs")
-	}
 }
 
 // typedDecodeErr reports whether err wraps one of the codec's typed decode
@@ -181,7 +182,7 @@ func TestTruncatedFramesAreTyped(t *testing.T) {
 		c, _ := ByKind(tc.kind)
 		enc := NewEncoder(64)
 		if err := EncodeRequest(enc, 5, transport.Request{
-			ID: 6, From: "t:a", To: "c:b", Kind: tc.kind, Body: tc.body,
+			ID: 6, From: "inj", To: "c:b", Kind: tc.kind, Body: tc.body,
 		}); err != nil {
 			t.Fatalf("%s: encode request: %v", tc.kind, err)
 		}
@@ -231,7 +232,7 @@ func TestCorruptFramesAreTyped(t *testing.T) {
 			e.Byte(frameRequest)
 			e.Uvarint(1)
 			e.Uvarint(2)
-			e.String("t:a")
+			e.String("inj")
 			e.String("c:b")
 			e.Uvarint(0) // trace id (unsampled)
 			e.Uvarint(0) // span id
@@ -274,30 +275,25 @@ func TestCorruptFramesAreTyped(t *testing.T) {
 			e.Uvarint(MaxSlice + 1) // Processed count
 			return e.Bytes()
 		}(), ErrCorrupt},
-		{"group wires/seqs mismatch", func() []byte {
-			e := NewEncoder(32)
-			e.Byte(frameRequest)
-			e.Uvarint(1)
-			e.Uvarint(2)
-			e.String("t:a")
-			e.String("c:b")
-			e.Uvarint(0) // trace id (unsampled)
-			e.Uvarint(0) // span id
-			e.Byte(2)    // KindGroupArrive code
-			e.String("t:a")
-			e.Ints([]int{1, 2})
-			e.Uint64s([]uint64{5})
-			return e.Bytes()
-		}(), ErrCorrupt},
-		{"bool byte 2 in resume reply", func() []byte {
+		{"group arrive status past StatusDead", func() []byte {
 			e := NewEncoder(8)
 			e.Byte(frameReply)
 			e.Uvarint(1)
 			e.Byte(byte(ReplyOK))
-			e.Byte(6) // KindResume code
-			e.Byte(2)
+			e.Byte(2) // KindGroupArrive code
+			e.Byte(byte(StatusDead) + 1)
+			e.Int(0)
 			return e.Bytes()
 		}(), ErrCorrupt},
+		{"reply for the retired resume code", func() []byte {
+			e := NewEncoder(8)
+			e.Byte(frameReply)
+			e.Uvarint(1)
+			e.Byte(byte(ReplyOK))
+			e.Byte(6) // retired KindResume code
+			e.Byte(1)
+			return e.Bytes()
+		}(), ErrUnknownKind},
 		{"trailing garbage", func() []byte {
 			e := NewEncoder(16)
 			if err := EncodeReply(e, 1, 4, ReplyOK, uint64(7), ""); err != nil {
@@ -419,8 +415,8 @@ func TestAppendEnvelopes(t *testing.T) {
 	// The append-into-caller-buffer forms must produce the same bytes as
 	// the Encoder forms, after any prefix already in dst.
 	req := transport.Request{
-		ID: 4, From: "t:a", To: "c:b", Kind: KindArrive,
-		Body: Arrive{Wire: 2, Token: "t:a", Seq: 9},
+		ID: 4, From: "inj", To: "c:b", Kind: KindArrive,
+		Body: Arrive{Wire: 2},
 	}
 	e := NewEncoder(64)
 	if err := EncodeRequest(e, 11, req); err != nil {
@@ -470,7 +466,7 @@ func TestDecodeIntoReuse(t *testing.T) {
 		t.Fatalf("error reply decode: %#v", rep)
 	}
 	e.Reset()
-	if err := EncodeReply(e, 2, c.Code, ReplyOK, ArriveRes{Status: StatusQueued}, ""); err != nil {
+	if err := EncodeReply(e, 2, c.Code, ReplyOK, ArriveRes{Status: StatusFrozen}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := DecodeReplyFrame(e.Bytes(), &rep); err != nil {
@@ -479,7 +475,7 @@ func TestDecodeIntoReuse(t *testing.T) {
 	if rep.ErrText != "" {
 		t.Fatalf("reused reply leaked ErrText %q", rep.ErrText)
 	}
-	if rep.Body != (ArriveRes{Status: StatusQueued}) {
+	if rep.Body != (ArriveRes{Status: StatusFrozen}) {
 		t.Fatalf("reused reply body: %#v", rep.Body)
 	}
 	e.Reset()
@@ -496,7 +492,7 @@ func TestDecodeIntoReuse(t *testing.T) {
 	var req Request
 	e.Reset()
 	if err := EncodeRequest(e, 4, transport.Request{
-		ID: 5, From: "t:a", To: "c:b", Kind: KindArrive, Body: Arrive{Wire: 1, Token: "t:a", Seq: 6},
+		ID: 5, From: "inj", To: "c:b", Kind: KindArrive, Body: Arrive{Wire: 1},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +529,7 @@ func TestDecodeIntoReuse(t *testing.T) {
 func TestReadFrameCoalesced(t *testing.T) {
 	e := NewEncoder(64)
 	if err := EncodeRequest(e, 21, transport.Request{
-		ID: 1, From: "t:a", To: "c:b", Kind: KindArrive, Body: Arrive{Wire: 3, Token: "t:a", Seq: 2},
+		ID: 1, From: "inj", To: "c:b", Kind: KindArrive, Body: Arrive{Wire: 3},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +573,7 @@ func TestReadFrameCoalesced(t *testing.T) {
 	if len(buf) != MaxFrame {
 		t.Fatalf("boundary frame length %d, want %d", len(buf), MaxFrame)
 	}
-	if req.Req.From != "t:a" || rep.ErrText != "later" {
+	if req.Req.From != "inj" || rep.ErrText != "later" {
 		t.Fatal("decoded values alias the shared read buffer")
 	}
 }
@@ -592,20 +588,12 @@ func TestDecoderPrimitives(t *testing.T) {
 	e := NewEncoder(64)
 	e.Varint(-1 << 40)
 	e.Int(-5)
-	e.Bool(true)
-	e.Bool(false)
 	d := NewDecoder(e.Bytes())
 	if v, err := d.Varint(); err != nil || v != -1<<40 {
 		t.Fatalf("Varint = %d, %v", v, err)
 	}
 	if v, err := d.Int(); err != nil || v != -5 {
 		t.Fatalf("Int = %d, %v", v, err)
-	}
-	if v, err := d.Bool(); err != nil || v != true {
-		t.Fatalf("Bool = %v, %v", v, err)
-	}
-	if v, err := d.Bool(); err != nil || v != false {
-		t.Fatalf("Bool = %v, %v", v, err)
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)

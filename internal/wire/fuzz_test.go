@@ -20,31 +20,22 @@ import (
 // live in F.Add calls and in testdata/fuzz/<FuzzName>/, which `go test`
 // always executes, so the corpus doubles as a regression suite.
 
-// clampToken bounds fuzzed strings to what the codec can carry: encoders
-// do not reject oversized strings (the deliverability check lives in the
-// decoder), so an over-MaxString input would fail decode by design.
-func clampToken(s string) string {
-	if len(s) > MaxString {
-		s = s[:MaxString]
-	}
-	return s
-}
-
+// FuzzArrive's seq is the envelope's mux sequence: an arrive body carries
+// only its wire.
 func FuzzArrive(f *testing.F) {
-	f.Add(0, "t:1", uint64(1), byte(1), 0)
-	f.Add(-3, "t:12#4", uint64(1)<<40, byte(2), 7)
-	f.Add(1<<20, "", uint64(0), byte(3), -1)
-	f.Fuzz(func(t *testing.T, w int, token string, seq uint64, status byte, out int) {
-		body := Arrive{Wire: w, Token: clampToken(token), Seq: seq}
+	f.Add(0, uint64(1), byte(1), 0)
+	f.Add(-3, uint64(1)<<40, byte(2), 7)
+	f.Add(1<<20, uint64(0), byte(3), -1)
+	f.Fuzz(func(t *testing.T, w int, seq uint64, status byte, out int) {
 		reply := ArriveRes{Status: StatusProcessed + Status(status)%3, Out: out}
-		roundTripEnvelopes(t, KindArrive, seq^uint64(status), body, reply)
+		roundTripEnvelopes(t, KindArrive, seq^uint64(status), Arrive{Wire: w}, reply)
 	})
 }
 
 func FuzzGroupArrive(f *testing.F) {
-	f.Add("t:1", []byte{1, 2, 3}, byte(0), []byte{9, 8, 7})
-	f.Add("t:44#9", []byte{}, byte(1), []byte{})
-	f.Add("", []byte{255, 0, 128, 64, 17}, byte(2), []byte{0})
+	f.Add([]byte{1, 2, 3}, byte(0), 9)
+	f.Add([]byte{}, byte(1), 0)
+	f.Add([]byte{255, 0, 128, 64, 17}, byte(2), -1)
 	// Seed a frame at the adapt controller's maximum group size: the
 	// largest group-arrive the control loop can legally emit must stay
 	// round-trippable, so a codec limit and adapt.DefaultMax can never
@@ -53,23 +44,14 @@ func FuzzGroupArrive(f *testing.F) {
 	for i := range maxGroup {
 		maxGroup[i] = byte(i * 37)
 	}
-	f.Add("t:max", maxGroup, byte(0), maxGroup[:8])
-	f.Fuzz(func(t *testing.T, token string, raw []byte, status byte, rawOut []byte) {
-		// Derive the parallel wires/seqs slices from one byte string so the
-		// decode invariant len(Wires) == len(Seqs) holds by construction.
+	f.Add(maxGroup, byte(0), adapt.DefaultMax-1)
+	f.Fuzz(func(t *testing.T, raw []byte, status byte, out int) {
 		var wires []int
-		var seqs []uint64
-		for i, b := range raw {
+		for _, b := range raw {
 			wires = append(wires, int(b)-128)
-			seqs = append(seqs, uint64(b)*131+uint64(i))
 		}
-		var outs []int
-		for _, b := range rawOut {
-			outs = append(outs, int(b))
-		}
-		body := GroupArrive{Token: clampToken(token), Wires: wires, Seqs: seqs}
-		reply := GroupArriveRes{Status: StatusProcessed + Status(status)%3, Outs: outs}
-		roundTripEnvelopes(t, KindGroupArrive, uint64(len(raw)), body, reply)
+		reply := ArriveRes{Status: StatusProcessed + Status(status)%3, Out: out}
+		roundTripEnvelopes(t, KindGroupArrive, uint64(len(raw)), GroupArrive{Wires: wires}, reply)
 	})
 }
 
@@ -94,22 +76,14 @@ func FuzzTotal(f *testing.F) {
 	})
 }
 
+// FuzzKill's n seeds the envelope's mux sequence and trace context: a
+// kill carries no body either way.
 func FuzzKill(f *testing.F) {
 	f.Add(0)
 	f.Add(-17)
 	f.Add(1 << 30)
 	f.Fuzz(func(t *testing.T, n int) {
-		roundTripEnvelopes(t, KindKill, uint64(uint(n)), nil, n)
-	})
-}
-
-func FuzzResume(f *testing.F) {
-	f.Add("", 0, uint64(0), false)
-	f.Add("0110", 3, uint64(8), true)
-	f.Add("1", -2, uint64(1)<<50, true)
-	f.Fuzz(func(t *testing.T, path string, w int, seq uint64, ok bool) {
-		body := Resume{Path: clampToken(path), Wire: w, Seq: seq}
-		roundTripEnvelopes(t, KindResume, seq, body, ok)
+		roundTripEnvelopes(t, KindKill, uint64(uint(n)), nil, nil)
 	})
 }
 
@@ -139,7 +113,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		c, _ := ByKind(tc.kind)
 		e := NewEncoder(64)
 		if err := EncodeRequest(e, 3, transport.Request{
-			ID: 4, From: "t:a", To: "c:b", Kind: tc.kind, Body: tc.body,
+			ID: 4, From: "inj", To: "c:b", Kind: tc.kind, Body: tc.body,
 		}); err != nil {
 			f.Fatal(err)
 		}
@@ -160,9 +134,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	// above all encode the unsampled two-zero-byte form).
 	e.Reset()
 	if err := EncodeRequest(e, 7, transport.Request{
-		ID: 8, From: "t:a", To: "c:b", Kind: KindArrive,
+		ID: 8, From: "inj", To: "c:b", Kind: KindArrive,
 		Trace: obs.TraceContext{TraceID: 0xdeadbeefcafef00d, SpanID: 0x0123456789abcdef},
-		Body:  Arrive{Wire: 1, Token: "t:a", Seq: 8},
+		Body:  Arrive{Wire: 1},
 	}); err != nil {
 		f.Fatal(err)
 	}
@@ -215,7 +189,7 @@ func FuzzReadFrameStream(f *testing.F) {
 	// flushed write batch produces) back to back in one stream.
 	e := NewEncoder(64)
 	if err := EncodeRequest(e, 5, transport.Request{
-		ID: 6, From: "t:a", To: "c:b", Kind: KindArrive, Body: Arrive{Wire: 1, Token: "t:a", Seq: 2},
+		ID: 6, From: "inj", To: "c:b", Kind: KindArrive, Body: Arrive{Wire: 1},
 	}); err != nil {
 		f.Fatal(err)
 	}

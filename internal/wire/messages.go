@@ -11,10 +11,10 @@ const (
 	// Body: Arrive. Reply: ArriveRes.
 	KindArrive = "arrive"
 	// KindGroupArrive delivers a whole token group to a component in one
-	// message: k tokens, each with its own input wire and sequence number,
-	// sharing one sender endpoint. This is the batched dist wire format:
-	// one RPC per component visit instead of one per token.
-	// Body: GroupArrive. Reply: GroupArriveRes.
+	// message: k tokens, each with its own input wire. This is the batched
+	// dist wire format: one RPC per component visit instead of one per
+	// token.
+	// Body: GroupArrive. Reply: ArriveRes (Out is the first token's wire).
 	KindGroupArrive = "agroup"
 	// KindFreeze tells a component to stop routing and snapshot state.
 	// Body: none. Reply: FreezeRes.
@@ -22,12 +22,19 @@ const (
 	// KindTotal polls a component's processed-token total.
 	// Body: none. Reply: uint64.
 	KindTotal = "total"
-	// KindKill tells a frozen component to die and release stored tokens.
-	// Body: none. Reply: int (number of released tokens).
+	// KindKill tells a frozen component it has been replaced: it answers
+	// every later arrive with StatusDead.
+	// Body: none. Reply: none.
 	KindKill = "kill"
-	// KindResume tells a stored token where to re-enter the network.
-	// Body: Resume. Reply: bool.
+	// KindResume is retired. It named the message that released a token
+	// stored at a frozen component; frozen components now refuse tokens
+	// instead. No codec serves it, and its wire code 6 stays unassigned so
+	// an old frame cannot be read as a new kind.
 	KindResume = "resume"
+	// KindThaw reactivates a frozen component whose split or merge was
+	// abandoned, so it routes tokens again.
+	// Body: none. Reply: none.
+	KindThaw = "thaw"
 	// KindCPF is Chord's closest-preceding-finger query.
 	// Body: uint64 (key). Reply: uint64 (node ID).
 	KindCPF = "cpf"
@@ -49,9 +56,10 @@ const (
 	// StatusProcessed: the token(s) were routed; the reply carries output
 	// wires.
 	StatusProcessed Status = 1
-	// StatusQueued: the component is frozen; the token(s) are stored and
-	// will be released by resume messages.
-	StatusQueued Status = 2
+	// StatusFrozen: the component is frozen for a split or merge; it
+	// refused the token(s) and recorded nothing. Re-resolve once the
+	// topology the sender resolved against has been replaced.
+	StatusFrozen Status = 2
 	// StatusDead: the component incarnation was replaced; re-resolve
 	// against the current cut and retry.
 	StatusDead Status = 3
@@ -69,38 +77,24 @@ func decodeStatus(d *Decoder) (Status, error) {
 	return s, nil
 }
 
-// Arrive asks a component to accept one token on an input wire. Token is
-// the sender's endpoint address (where a resume goes if the component is
-// frozen); Seq identifies which token currently owns that endpoint.
+// Arrive asks a component to accept one token on an input wire.
 type Arrive struct {
-	Wire  int
-	Token string
-	Seq   uint64
+	Wire int
 }
 
-// ArriveRes is the reply to an Arrive.
+// ArriveRes is the reply to an Arrive or a GroupArrive. A component serves
+// a whole group under one state lock, so the outcome is uniform. When the
+// tokens were processed, Out is the first token's output wire and token i
+// of a group left on (Out+i) mod the component's width.
 type ArriveRes struct {
 	Status Status
 	Out    int
 }
 
 // GroupArrive asks a component to accept a whole token group: token i of
-// the group arrives on Wires[i] with sequence number Seqs[i]. All tokens
-// share the sender endpoint Token. len(Wires) == len(Seqs) is a decode
-// invariant.
+// the group arrives on Wires[i].
 type GroupArrive struct {
-	Token string
 	Wires []int
-	Seqs  []uint64
-}
-
-// GroupArriveRes is the reply to a GroupArrive. The component serves the
-// whole group under one state lock, so the outcome is uniform: processed
-// (Outs[i] is token i's output wire), queued (every token stored; resumes
-// follow individually), or dead (re-resolve the whole group).
-type GroupArriveRes struct {
-	Status Status
-	Outs   []int
 }
 
 // FreezeRes snapshots a component's state at freeze time.
@@ -113,13 +107,6 @@ type FreezeRes struct {
 // whatever the application layer agreed on (launch uses JSON); the codec
 // only length-prefixes them.
 type Blob []byte
-
-// Resume tells a stored token where to re-enter the network.
-type Resume struct {
-	Path string
-	Wire int
-	Seq  uint64
-}
 
 // Codec is one registered message kind: its wire code, its kind string,
 // and typed encode/decode for the request body and the reply body. Encode
@@ -205,6 +192,31 @@ func Kinds() []string {
 	return ks
 }
 
+// encArriveRes / decArriveRes serve the reply of both arrive kinds.
+func encArriveRes(kind string) func(*Encoder, any) error {
+	return func(e *Encoder, body any) error {
+		r, ok := body.(ArriveRes)
+		if !ok {
+			return badBody(kind, body)
+		}
+		e.Byte(byte(r.Status))
+		e.Int(r.Out)
+		return nil
+	}
+}
+
+func decArriveRes(d *Decoder) (any, error) {
+	var r ArriveRes
+	var err error
+	if r.Status, err = decodeStatus(d); err != nil {
+		return nil, err
+	}
+	if r.Out, err = d.Int(); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 var _ = register(&Codec{
 	Code: 1, Kind: KindArrive,
 	EncodeReq: func(e *Encoder, body any) error {
@@ -213,44 +225,17 @@ var _ = register(&Codec{
 			return badBody(KindArrive, body)
 		}
 		e.Int(a.Wire)
-		e.String(a.Token)
-		e.Uvarint(a.Seq)
 		return nil
 	},
 	DecodeReq: func(d *Decoder) (any, error) {
-		var a Arrive
-		var err error
-		if a.Wire, err = d.Int(); err != nil {
+		w, err := d.Int()
+		if err != nil {
 			return nil, err
 		}
-		if a.Token, err = d.String(); err != nil {
-			return nil, err
-		}
-		if a.Seq, err = d.Uvarint(); err != nil {
-			return nil, err
-		}
-		return a, nil
+		return Arrive{Wire: w}, nil
 	},
-	EncodeRes: func(e *Encoder, body any) error {
-		r, ok := body.(ArriveRes)
-		if !ok {
-			return badBody(KindArrive, body)
-		}
-		e.Byte(byte(r.Status))
-		e.Int(r.Out)
-		return nil
-	},
-	DecodeRes: func(d *Decoder) (any, error) {
-		var r ArriveRes
-		var err error
-		if r.Status, err = decodeStatus(d); err != nil {
-			return nil, err
-		}
-		if r.Out, err = d.Int(); err != nil {
-			return nil, err
-		}
-		return r, nil
-	},
+	EncodeRes: encArriveRes(KindArrive),
+	DecodeRes: decArriveRes,
 })
 
 var _ = register(&Codec{
@@ -260,51 +245,18 @@ var _ = register(&Codec{
 		if !ok {
 			return badBody(KindGroupArrive, body)
 		}
-		if len(g.Wires) != len(g.Seqs) {
-			return fmt.Errorf("wire: %s: %d wires, %d seqs", KindGroupArrive, len(g.Wires), len(g.Seqs))
-		}
-		e.String(g.Token)
 		e.Ints(g.Wires)
-		e.Uint64s(g.Seqs)
 		return nil
 	},
 	DecodeReq: func(d *Decoder) (any, error) {
-		var g GroupArrive
-		var err error
-		if g.Token, err = d.String(); err != nil {
+		ws, err := d.Ints()
+		if err != nil {
 			return nil, err
 		}
-		if g.Wires, err = d.Ints(); err != nil {
-			return nil, err
-		}
-		if g.Seqs, err = d.Uint64s(); err != nil {
-			return nil, err
-		}
-		if len(g.Wires) != len(g.Seqs) {
-			return nil, fmt.Errorf("%w: group with %d wires, %d seqs", ErrCorrupt, len(g.Wires), len(g.Seqs))
-		}
-		return g, nil
+		return GroupArrive{Wires: ws}, nil
 	},
-	EncodeRes: func(e *Encoder, body any) error {
-		r, ok := body.(GroupArriveRes)
-		if !ok {
-			return badBody(KindGroupArrive, body)
-		}
-		e.Byte(byte(r.Status))
-		e.Ints(r.Outs)
-		return nil
-	},
-	DecodeRes: func(d *Decoder) (any, error) {
-		var r GroupArriveRes
-		var err error
-		if r.Status, err = decodeStatus(d); err != nil {
-			return nil, err
-		}
-		if r.Outs, err = d.Ints(); err != nil {
-			return nil, err
-		}
-		return r, nil
-	},
+	EncodeRes: encArriveRes(KindGroupArrive),
+	DecodeRes: decArriveRes,
 })
 
 var _ = register(&Codec{
@@ -345,53 +297,11 @@ var _ = register(&Codec{
 	Code: 5, Kind: KindKill,
 	EncodeReq: encNone(KindKill),
 	DecodeReq: decNone,
-	EncodeRes: func(e *Encoder, body any) error {
-		n, ok := body.(int)
-		if !ok {
-			return badBody(KindKill, body)
-		}
-		e.Int(n)
-		return nil
-	},
-	DecodeRes: func(d *Decoder) (any, error) { return d.Int() },
+	EncodeRes: encNone(KindKill),
+	DecodeRes: decNone,
 })
 
-var _ = register(&Codec{
-	Code: 6, Kind: KindResume,
-	EncodeReq: func(e *Encoder, body any) error {
-		r, ok := body.(Resume)
-		if !ok {
-			return badBody(KindResume, body)
-		}
-		e.String(r.Path)
-		e.Int(r.Wire)
-		e.Uvarint(r.Seq)
-		return nil
-	},
-	DecodeReq: func(d *Decoder) (any, error) {
-		var r Resume
-		var err error
-		if r.Path, err = d.String(); err != nil {
-			return nil, err
-		}
-		if r.Wire, err = d.Int(); err != nil {
-			return nil, err
-		}
-		if r.Seq, err = d.Uvarint(); err != nil {
-			return nil, err
-		}
-		return r, nil
-	},
-	EncodeRes: func(e *Encoder, body any) error {
-		b, ok := body.(bool)
-		if !ok {
-			return badBody(KindResume, body)
-		}
-		e.Bool(b)
-		return nil
-	},
-	DecodeRes: func(d *Decoder) (any, error) { return d.Bool() },
-})
+// Code 6 belonged to the retired KindResume and is never reassigned.
 
 var _ = register(&Codec{
 	Code: 7, Kind: KindCPF,
@@ -434,4 +344,12 @@ var _ = register(&Codec{
 	DecodeReq: decBlob,
 	EncodeRes: encBlob(KindCtl),
 	DecodeRes: decBlob,
+})
+
+var _ = register(&Codec{
+	Code: 10, Kind: KindThaw,
+	EncodeReq: encNone(KindThaw),
+	DecodeReq: decNone,
+	EncodeRes: encNone(KindThaw),
+	DecodeRes: decNone,
 })

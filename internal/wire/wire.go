@@ -114,15 +114,6 @@ func (e *Encoder) Varint(v int64) {
 // Int appends an int as a signed varint.
 func (e *Encoder) Int(v int) { e.Varint(int64(v)) }
 
-// Bool appends a bool as one byte (0 or 1).
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.Byte(1)
-	} else {
-		e.Byte(0)
-	}
-}
-
 // String appends a length-prefixed string.
 func (e *Encoder) String(s string) {
 	e.Uvarint(uint64(len(s)))
@@ -227,18 +218,6 @@ func (d *Decoder) Int() (int, error) {
 		return 0, fmt.Errorf("%w: int %d out of range", ErrCorrupt, v)
 	}
 	return int(v), nil
-}
-
-// Bool consumes one byte and requires it to be 0 or 1.
-func (d *Decoder) Bool() (bool, error) {
-	b, err := d.Byte()
-	if err != nil {
-		return false, err
-	}
-	if b > 1 {
-		return false, fmt.Errorf("%w: bool byte %d", ErrCorrupt, b)
-	}
-	return b == 1, nil
 }
 
 // String consumes a length-prefixed string bounded by MaxString.
