@@ -41,7 +41,7 @@ benchsmoke:
 # b.RunParallel and the batch/pooled paths race real goroutines, so this
 # catches data races the correctness tests' schedules might miss.
 perfsmoke:
-	$(GO) test -race -bench 'TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$$' .
+	$(GO) test -race -bench 'TokenAdaptiveParallel|TokenAdaptiveBatch|TokenAdaptiveChurn|TokenDist|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$$' .
 
 # Re-verify the newest checked-in pre/post baseline against itself (first
 # run vs last run): an edit that regresses the recorded post numbers — or

@@ -124,6 +124,54 @@ func BenchmarkTokenAdaptive(b *testing.B) {
 	}
 }
 
+// BenchmarkTokenAdaptiveChurn injects tokens into a warm network that
+// loses or gains one node every churnEvery tokens and re-runs maintenance
+// to its fixpoint. Every structural step publishes a new topology epoch,
+// so the first token over each wire afterwards re-validates its
+// per-wire neighbor memo (and bounces where the neighbor moved), a path
+// the static-topology benchmarks never reach. One op is one token; the
+// structural steps run with the timer stopped.
+func BenchmarkTokenAdaptiveChurn(b *testing.B) {
+	const (
+		width      = 1 << 12
+		churnEvery = 4096
+	)
+	net, err := core.New(core.Config{Width: width, Seed: 1, InitialNodes: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := net.MaintainToFixpoint(200); err != nil {
+		b.Fatal(err)
+	}
+	client, err := net.NewClient()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < width; i++ {
+		if _, err := client.InjectAt(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%churnEvery == 0 {
+			b.StopTimer()
+			if i/churnEvery%2 == 0 {
+				net.AddNode()
+			} else if _, err := net.RemoveRandomNode(); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := net.MaintainToFixpoint(200); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := client.Inject(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTokenAdaptiveBatch injects bursts of 128 tokens per
 // Client.InjectBatch call, the burst landing on one input wire per batch
 // (the workload generators' bursty arrival shape, rotating wires across

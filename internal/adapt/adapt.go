@@ -224,7 +224,7 @@ type Controller struct {
 	cfg  atomic.Pointer[Config]
 	size atomic.Int64
 
-	mu           sync.Mutex // serializes the decision state below
+	mu           sync.Mutex // serializes decisions, config swaps and size/gauge writes
 	growStreak   int
 	shrinkStreak int
 
@@ -253,25 +253,18 @@ func (c *Controller) Size() int { return int(c.size.Load()) }
 // Config returns the controller's current (fully defaulted) config.
 func (c *Controller) Config() Config { return *c.cfg.Load() }
 
-// SetConfig atomically swaps the tuning parameters; in-flight Observe
-// calls see either the old or the new config, never a mix. The current
-// size is re-clamped into the new [Min, Max].
+// SetConfig swaps the tuning parameters and re-clamps the current size
+// into the new [Min, Max]. It is serialized with Observe: every decision
+// uses either the old or the new config, never a mix, and the size and
+// the adapt.size gauge change together under the decision lock.
 func (c *Controller) SetConfig(cfg Config) {
 	cfg = cfg.withDefaults()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.cfg.Store(&cfg)
-	for {
-		cur := c.size.Load()
-		want := cur
-		if want < int64(cfg.Min) {
-			want = int64(cfg.Min)
-		}
-		if want > int64(cfg.Max) {
-			want = int64(cfg.Max)
-		}
-		if want == cur || c.size.CompareAndSwap(cur, want) {
-			return
-		}
-	}
+	size := min(max(c.size.Load(), int64(cfg.Min)), int64(cfg.Max))
+	c.size.Store(size)
+	c.gSize.Set(size)
 }
 
 // Instrument registers the controller's metrics in reg: the adapt.size
@@ -283,7 +276,9 @@ func (c *Controller) Instrument(reg *obs.Registry) {
 	c.cUp = reg.Counter("adapt.adjust.up")
 	c.cDown = reg.Counter("adapt.adjust.down")
 	c.cHold = reg.Counter("adapt.hold")
+	c.mu.Lock()
 	c.gSize.Set(c.size.Load())
+	c.mu.Unlock()
 }
 
 // Trace attaches a tracer: each Observe call that the tracer's stride
@@ -312,16 +307,16 @@ func (c *Controller) Adjustments() (up, down, holds uint64) {
 // Shrink pressure always wins over grow pressure within a window. A
 // decision clamped at Min/Max degrades to Hold.
 func (c *Controller) Observe(s Sample) Decision {
-	cfg := c.cfg.Load()
-	overloaded := s.Latency >= cfg.LatencyHigh || s.Spills >= cfg.SpillHigh
 	factor := 0.0
 	if s.Writes > 0 {
 		factor = float64(s.Frames) / float64(s.Writes)
 	}
-	contended := factor >= cfg.CoalesceHigh || s.QueueDepth >= cfg.QueueHigh
 
 	d := Hold
 	c.mu.Lock()
+	cfg := c.cfg.Load()
+	overloaded := s.Latency >= cfg.LatencyHigh || s.Spills >= cfg.SpillHigh
+	contended := factor >= cfg.CoalesceHigh || s.QueueDepth >= cfg.QueueHigh
 	cur := c.size.Load()
 	next := cur
 	if overloaded {
@@ -351,6 +346,9 @@ func (c *Controller) Observe(s Sample) Decision {
 	if next != cur {
 		c.size.Store(next)
 	}
+	// Published under mu, so a concurrent SetConfig cannot interleave
+	// between the size store and the gauge.
+	c.gSize.Set(next)
 	c.mu.Unlock()
 
 	switch d {
@@ -364,7 +362,6 @@ func (c *Controller) Observe(s Sample) Decision {
 		c.holds.Add(1)
 		c.cHold.Inc()
 	}
-	c.gSize.Set(next)
 
 	if sp := c.tracer.Start("adapt.decide"); sp != nil {
 		sp.Event("coalesce_x100", "", int64(factor*100))

@@ -232,6 +232,44 @@ func TestObserveConcurrentWithSetConfig(t *testing.T) {
 	}
 }
 
+// TestSizeGaugeTruthfulUnderConcurrentSetConfig races Observe against
+// SetConfig and checks, once they quiesce, that the adapt.size gauge
+// reports Size() and that Size() lies within the config in force. Each
+// racer ends on a SetConfig that clamps the size down, so a SetConfig that
+// skips the gauge fails every trial.
+func TestSizeGaugeTruthfulUnderConcurrentSetConfig(t *testing.T) {
+	for trial := 0; trial < 200; trial++ {
+		reg := obs.NewRegistry()
+		c := New(Config{Min: 1, Max: 128, Hysteresis: 1})
+		c.Instrument(reg)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 100; i++ {
+					switch (i + g + trial) % 3 {
+					case 0, 1:
+						c.Observe(quiet)
+					default:
+						c.Observe(overload)
+						c.SetConfig(Config{Min: 1, Max: 64 + g + i%5})
+					}
+				}
+				c.SetConfig(Config{Min: 1, Max: 2 + g})
+			}(g)
+		}
+		wg.Wait()
+		size := c.Size()
+		if got := reg.Snapshot().Gauges["adapt.size"]; got != int64(size) {
+			t.Fatalf("trial %d: adapt.size gauge %d, Size() %d", trial, got, size)
+		}
+		if cfg := c.Config(); size < cfg.Min || size > cfg.Max {
+			t.Fatalf("trial %d: size %d outside the config in force [%d,%d]", trial, size, cfg.Min, cfg.Max)
+		}
+	}
+}
+
 func TestPoller(t *testing.T) {
 	c := New(Config{Min: 1, Max: 64, Initial: 8, Step: 8, Hysteresis: 1})
 	var calls atomic.Int64

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/tree"
 )
 
 // BatchTrace reports the aggregate protocol costs of one InjectBatch call.
@@ -60,7 +58,6 @@ func (bt *BatchTrace) add(w BatchTrace) {
 // lc is the component resolved against the batch's snapshot when the group
 // was enqueued, so processing a group costs no directory probe.
 type batchGroup struct {
-	path  tree.Path
 	lc    *liveComp
 	count uint64
 }
@@ -78,7 +75,7 @@ type batchState struct {
 	wires  []int          // distinct input wires, first-seen order
 	wcount map[int]uint64 // tokens per distinct input wire
 	queue  []batchGroup   // FIFO wavefront of token groups
-	qidx   map[tree.Path]int
+	qidx   map[*liveComp]int
 	cold   []wireCnt // output-wire subgroups missing a warm memo
 }
 
@@ -86,7 +83,7 @@ var batchPool = sync.Pool{
 	New: func() any {
 		return &batchState{
 			wcount: make(map[int]uint64, 8),
-			qidx:   make(map[tree.Path]int, 32),
+			qidx:   make(map[*liveComp]int, 32),
 		}
 	},
 }
@@ -99,16 +96,16 @@ func (bs *batchState) reset() {
 	clear(bs.qidx)
 }
 
-// enqueue adds count tokens at path to the wavefront, coalescing into a
+// enqueue adds count tokens at lc to the wavefront, coalescing into a
 // pending (not yet processed) group for the same component; head is the
 // index of the group currently being processed (-1 during entry).
-func (bs *batchState) enqueue(path tree.Path, lc *liveComp, count uint64, head int) {
-	if j, ok := bs.qidx[path]; ok && j > head {
+func (bs *batchState) enqueue(lc *liveComp, count uint64, head int) {
+	if j, ok := bs.qidx[lc]; ok && j > head {
 		bs.queue[j].count += count
 		return
 	}
-	bs.queue = append(bs.queue, batchGroup{path: path, lc: lc, count: count})
-	bs.qidx[path] = len(bs.queue) - 1
+	bs.queue = append(bs.queue, batchGroup{lc: lc, count: count})
+	bs.qidx[lc] = len(bs.queue) - 1
 }
 
 // InjectBatch sends len(ins) tokens into the network, one per entry of
@@ -217,7 +214,7 @@ func (c *Client) injectBatchWindow(ins []int) (BatchTrace, error) {
 			return BatchTrace{}, err
 		}
 		n.injected[in].Add(k)
-		bs.enqueue(entry.Path, t.comps[entry.Path], k, -1)
+		bs.enqueue(entry, k, -1)
 	}
 	n.metrics.tokens.Add(uint64(len(ins)))
 
@@ -227,14 +224,12 @@ func (c *Client) injectBatchWindow(ins []int) (BatchTrace, error) {
 		lc := g.lc
 		bt.GroupHops++
 		bt.WireHops += int(g.count)
-		if host := n.nodes[lc.host]; host != nil {
-			host.tokens.Add(g.count)
-		}
+		lc.node.tokens.Add(g.count)
 		base, ok := lc.st.TryStepN(g.count)
 		if !ok {
 			// Unreachable for the same reason as in InjectAt: core freezes
 			// components only under the exclusive structural lock.
-			return BatchTrace{}, fmt.Errorf("core: component %q frozen mid-route", g.path)
+			return BatchTrace{}, fmt.Errorf("core: component %q frozen mid-route", lc.st.Comp.Path)
 		}
 		// The group's tokens exit on the min(count, width) consecutive
 		// wires starting at base: wire (base+i) mod w receives every token
@@ -258,33 +253,34 @@ func (c *Client) injectBatchWindow(ins []int) (BatchTrace, error) {
 			for i := uint64(0); i < span; i++ {
 				o := int((base + i) % w)
 				cnt := (g.count - i + w - 1) / w
-				d, memo := lc.wires[o]
-				if !memo {
+				if o >= len(lc.wires) {
 					bs.cold = append(bs.cold, wireCnt{o: o, cnt: cnt})
 					continue
 				}
+				d := &lc.wires[o]
 				if d.exit {
 					n.out[d.netOut].Add(cnt)
 					continue
 				}
-				if host, cached := lc.nbrs[d.path]; cached {
-					if got := t.comps[d.path]; got != nil && got.host == host {
+				if d.to != nil {
+					next, miss := lc.nextLocked(t, d)
+					if next != nil {
 						tr.CacheHits++
-						bs.enqueue(d.path, got, cnt, head)
+						bs.enqueue(next, cnt, head)
 						continue
 					}
-					// Stale: the direct send bounces, exactly as on the
-					// per-token path; drop the entry and re-resolve cold.
-					tr.CacheMisses++
-					delete(lc.nbrs, d.path)
+					// A bounce, exactly as on the per-token path:
+					// re-resolve cold.
+					if miss {
+						tr.CacheMisses++
+					}
 				}
-				delete(lc.wires, o)
 				bs.cold = append(bs.cold, wireCnt{o: o, cnt: cnt})
 			}
 			lc.nbrsMu.Unlock()
 		}
 		for _, cw := range bs.cold {
-			next, exited, netOut, err := n.resolveNext(t, lc, lc.st.Comp, cw.o, &tr, nil)
+			next, exited, netOut, err := n.resolveCold(t, lc, cw.o, &tr, nil)
 			if err != nil {
 				return BatchTrace{}, err
 			}
@@ -292,7 +288,7 @@ func (c *Client) injectBatchWindow(ins []int) (BatchTrace, error) {
 				n.out[netOut].Add(cw.cnt)
 				continue
 			}
-			bs.enqueue(next.Path, t.comps[next.Path], cw.cnt, head)
+			bs.enqueue(next, cw.cnt, head)
 		}
 	}
 

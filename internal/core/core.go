@@ -205,30 +205,77 @@ func (c *counters) snapshot() Metrics {
 type liveComp struct {
 	st   *component.State
 	host chord.NodeID
+	node *nodeInfo // host's record, reassigned wherever host is
 
 	// nbrs caches the addresses of resolved out-neighbor components
 	// (Section 3.5: "the addresses of the out-neighbors can be cached").
 	// A component has O(1) distinct out-neighbors, so the cache stays
 	// constant-sized; entries are validated on use and dropped when the
-	// neighbor splits, merges or moves. wires additionally memoizes, per
-	// output wire, where the wire leads (network exit, or the path of the
-	// last-resolved neighbor), so a warm forward is two map probes and a
-	// snapshot liveness check — no tree algebra, no allocation. The guard
-	// is per-component — the topology's lock striping — so concurrent
-	// tokens contend only when they leave the same component at the same
-	// instant.
-	nbrsMu sync.Mutex
-	nbrs   map[tree.Path]chord.NodeID
-	wires  map[int]wireDst
+	// neighbor splits, merges or moves, and every drop bumps nbrsVer.
+	// wires additionally memoizes, per output wire, where the wire leads:
+	// a network exit, or the neighbor it last resolved to, stamped with
+	// the topology epoch and the nbrsVer of that validation. While both
+	// stamps match, the neighbor is still live at its cached host (no
+	// structural operation ran, no nbrs entry was dropped), so a warm
+	// forward is a slice index and two integer compares — no map probe,
+	// no tree algebra, no allocation. The guard is per-component — the
+	// topology's lock striping — so concurrent tokens contend only when
+	// they leave the same component at the same instant.
+	nbrsMu  sync.Mutex
+	nbrs    map[tree.Path]chord.NodeID
+	nbrsVer uint64
+	wires   []wireDst // indexed by output wire; nil until the first memo
 }
 
 // wireDst is one memoized output-wire destination: either a network exit
-// (pure wire algebra, never stale) or the candidate-chain component the
-// wire last resolved to (validated against the snapshot on every use).
+// (pure wire algebra, never stale) or the neighbor the wire last resolved
+// to, valid as is while its stamps match and re-validated against nbrs
+// and the snapshot once they do not. The zero value is no memo.
 type wireDst struct {
 	exit   bool
 	netOut int
-	path   tree.Path
+	to     *liveComp
+	epoch  uint64 // topology epoch of the last validation
+	ver    uint64 // owner's nbrsVer at the last validation
+}
+
+// dropNbrLocked removes p from the neighbor cache, which invalidates every
+// wire memo validated before. Callers hold nbrsMu.
+func (lc *liveComp) dropNbrLocked(p tree.Path) {
+	delete(lc.nbrs, p)
+	lc.nbrsVer++
+}
+
+// memoLocked records where output wire o leads. Callers hold nbrsMu.
+func (lc *liveComp) memoLocked(o int, d wireDst) {
+	if lc.wires == nil {
+		lc.wires = make([]wireDst, lc.st.Comp.Width)
+	}
+	lc.wires[o] = d
+}
+
+// nextLocked follows the neighbor memo d of one of lc's output wires
+// against snapshot t. Matching stamps are a hit without any probe;
+// otherwise the memo is re-validated exactly as the §3.5 direct send: a
+// neighbor still live at its cached host is a hit and is re-stamped, a
+// cached one that moved or left is a miss (its nbrs entry is dropped),
+// and a memo whose nbrs entry is gone bounces without a miss. Either
+// bounce clears d and returns nil. Callers hold nbrsMu.
+func (lc *liveComp) nextLocked(t *topology, d *wireDst) (next *liveComp, miss bool) {
+	if d.epoch == t.epoch && d.ver == lc.nbrsVer {
+		return d.to, false
+	}
+	p := d.to.st.Comp.Path
+	if host, cached := lc.nbrs[p]; cached {
+		if got := t.comps[p]; got != nil && got.host == host {
+			d.to, d.epoch, d.ver = got, t.epoch, lc.nbrsVer
+			return got, false
+		}
+		lc.dropNbrLocked(p)
+		miss = true
+	}
+	*d = wireDst{}
+	return nil, miss
 }
 
 // nodeInfo is the per-node view. comps, level and estimate are structural
@@ -429,13 +476,14 @@ func (n *Network) Tracer() *obs.Tracer { return n.tracer }
 
 // placeLocked inserts a component on a host.
 func (n *Network) placeLocked(p tree.Path, st *component.State, host chord.NodeID) {
+	node := n.nodes[host]
 	n.comps[p] = &liveComp{
-		st:    st,
-		host:  host,
-		nbrs:  make(map[tree.Path]chord.NodeID),
-		wires: make(map[int]wireDst),
+		st:   st,
+		host: host,
+		node: node,
+		nbrs: make(map[tree.Path]chord.NodeID),
 	}
-	n.nodes[host].comps[p] = true
+	node.comps[p] = true
 }
 
 // removeCompLocked removes a live component from the directory.
@@ -444,10 +492,11 @@ func (n *Network) removeCompLocked(p tree.Path) {
 	if lc == nil {
 		return
 	}
-	if node := n.nodes[lc.host]; node != nil {
-		delete(node.comps, p)
-	}
+	delete(lc.node.comps, p)
 	delete(n.comps, p)
+	// No token uses lc again; dropping its memo lets the neighbors it
+	// points to be collected once they leave the network too.
+	lc.wires = nil
 }
 
 // AddNode joins one node to the overlay and migrates the components whose
@@ -488,6 +537,9 @@ func (n *Network) RemoveNode(id chord.NodeID) error {
 		return err
 	}
 	delete(n.nodes, id)
+	// Publish even on a failed hand-off: a host may already have moved,
+	// and wire memos trust hosts only within one epoch.
+	defer n.publishLocked()
 	// Graceful leave: the departing node hands its components to the new
 	// owners before going.
 	for p := range node.comps {
@@ -496,12 +548,11 @@ func (n *Network) RemoveNode(id chord.NodeID) error {
 		if err != nil {
 			return err
 		}
-		lc.host = host
-		n.nodes[host].comps[p] = true
+		lc.host, lc.node = host, n.nodes[host]
+		lc.node.comps[p] = true
 		n.metrics.moves.Add(1)
 	}
 	n.reconcileOwnersLocked()
-	n.publishLocked()
 	return nil
 }
 
@@ -566,11 +617,9 @@ func (n *Network) reconcileOwnersLocked() {
 		if host == lc.host {
 			continue
 		}
-		if old := n.nodes[lc.host]; old != nil {
-			delete(old.comps, p)
-		}
-		lc.host = host
-		n.nodes[host].comps[p] = true
+		delete(lc.node.comps, p)
+		lc.host, lc.node = host, n.nodes[host]
+		lc.node.comps[p] = true
 		n.metrics.moves.Add(1)
 	}
 }

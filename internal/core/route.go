@@ -114,33 +114,26 @@ func (c *Client) InjectAt(in int) (TokenTrace, error) {
 	}
 
 	var tr TokenTrace
-	entry, err := n.findEntry(t, c, in, &tr, sp)
+	lc, err := n.findEntry(t, c, in, &tr, sp)
 	if err != nil {
 		return TokenTrace{}, err
 	}
 	n.injected[in].Add(1)
 	n.metrics.tokens.Add(1)
 
-	cur := entry
 	for {
-		lc := t.comps[cur.Path]
-		if lc == nil {
-			return TokenTrace{}, fmt.Errorf("core: component %v vanished mid-route", cur)
-		}
 		tr.WireHops++
-		if host := n.nodes[lc.host]; host != nil {
-			host.tokens.Add(1)
-		}
+		lc.node.tokens.Add(1)
 		o, ok := lc.st.TryStep()
 		if !ok {
 			// Unreachable: core freezes components only under the exclusive
 			// structural lock, which cannot be held while tokens traverse.
-			return TokenTrace{}, fmt.Errorf("core: component %v frozen mid-route", cur)
+			return TokenTrace{}, fmt.Errorf("core: component %v frozen mid-route", lc.st.Comp)
 		}
 		if sp != nil {
-			sp.Event("comp", string(cur.Path), int64(o))
+			sp.Event("comp", string(lc.st.Comp.Path), int64(o))
 		}
-		next, exited, netOut, err := n.resolveNext(t, lc, cur, o, &tr, sp)
+		next, exited, netOut, err := n.resolveNext(t, lc, o, &tr, sp)
 		if err != nil {
 			return TokenTrace{}, err
 		}
@@ -161,7 +154,7 @@ func (c *Client) InjectAt(in int) (TokenTrace, error) {
 			}
 			return tr, nil
 		}
-		cur = next
+		lc = next
 	}
 }
 
@@ -178,31 +171,28 @@ func (n *Network) mergeTrace(tr TokenTrace) {
 }
 
 // lookup meters one DHT lookup for the component name at path p issued
-// from node at, and reports whether the component is live in snapshot t
-// (and where it is hosted). The lookup cache absorbs repeat resolutions: a
+// from node at, and returns the component if it is live in snapshot t
+// (nil otherwise). The lookup cache absorbs repeat resolutions: a
 // hit costs zero overlay messages and is excluded from the
 // NameLookups/LookupHops meters, which count only lookups the ring
 // actually performed.
-func (n *Network) lookup(t *topology, at chord.NodeID, p tree.Path, tr *TokenTrace, sp *obs.Span) (chord.NodeID, bool, error) {
+func (n *Network) lookup(t *topology, at chord.NodeID, p tree.Path, tr *TokenTrace, sp *obs.Span) (*liveComp, error) {
 	key := string(p)
-	cached, v, ok := n.lcache.Get(key)
+	_, v, ok := n.lcache.Get(key)
 	if ok {
 		tr.LCacheHits++
 		if sp != nil {
 			sp.Event("lookup-cached", key, 0)
 		}
-		if lc := t.comps[p]; lc != nil {
-			return lc.host, true, nil
-		}
-		return cached, false, nil
+		return t.comps[p], nil
 	}
 	c, err := tree.ComponentAt(n.cfg.Width, p)
 	if err != nil {
-		return 0, false, err
+		return nil, err
 	}
 	owner, hops, err := n.ring.Lookup(at, chord.Hash(c.Name()))
 	if err != nil {
-		return 0, false, err
+		return nil, err
 	}
 	tr.NameLookups++
 	tr.LookupHops += hops
@@ -215,34 +205,28 @@ func (n *Network) lookup(t *topology, at chord.NodeID, p tree.Path, tr *TokenTra
 	if sp != nil {
 		sp.Event("lookup", key, int64(hops))
 	}
-	if lc := t.comps[p]; lc != nil {
-		return lc.host, true, nil
-	}
-	return owner, false, nil
+	return t.comps[p], nil
 }
 
 // findEntry locates the live input component covering input wire in by
 // trying names on the input balancer's ancestor chain (Section 3.5 bounds
 // this by the chain length).
-func (n *Network) findEntry(t *topology, c *Client, in int, tr *TokenTrace, sp *obs.Span) (tree.Component, error) {
+func (n *Network) findEntry(t *topology, c *Client, in int, tr *TokenTrace, sp *obs.Span) (*liveComp, error) {
 	// The input balancer for wire in is a pure function of the width,
 	// precomputed at construction.
 	leaf := n.entryLeaf[in]
 	maxLevel := len(leaf)
 
-	try := func(p tree.Path) (bool, error) {
+	try := func(p tree.Path) (*liveComp, error) {
 		tr.EntryTries++
 		if sp != nil {
 			sp.Event("entry-try", string(p), 0)
 		}
-		_, live, err := n.lookup(t, c.at, p, tr, sp)
-		if err != nil {
-			return false, err
-		}
-		if live {
+		lc, err := n.lookup(t, c.at, p, tr, sp)
+		if lc != nil {
 			c.lastEntry, c.hasLast = p, true
 		}
-		return live, nil
+		return lc, err
 	}
 
 	// The unique live component covering the leaf is at exactly one level
@@ -260,31 +244,25 @@ func (n *Network) findEntry(t *topology, c *Client, in int, tr *TokenTrace, sp *
 					continue
 				}
 				tried |= 1 << uint(lvl)
-				live, err := try(leaf[:lvl])
-				if err != nil {
-					return tree.Component{}, err
-				}
-				if live {
-					return t.comps[leaf[:lvl]].st.Comp, nil
+				lc, err := try(leaf[:lvl])
+				if lc != nil || err != nil {
+					return lc, err
 				}
 				if delta == 0 {
 					break // the two candidates coincide
 				}
 			}
 		}
-		return tree.Component{}, fmt.Errorf("core: no input component covers wire %d", in)
+		return nil, fmt.Errorf("core: no input component covers wire %d", in)
 	}
 
 	for lvl := maxLevel; lvl >= 0; lvl-- {
-		live, err := try(leaf[:lvl])
-		if err != nil {
-			return tree.Component{}, err
-		}
-		if live {
-			return t.comps[leaf[:lvl]].st.Comp, nil
+		lc, err := try(leaf[:lvl])
+		if lc != nil || err != nil {
+			return lc, err
 		}
 	}
-	return tree.Component{}, fmt.Errorf("core: no input component covers wire %d", in)
+	return nil, fmt.Errorf("core: no input component covers wire %d", in)
 }
 
 // chainPool recycles the candidate-chain scratch slices of resolveNext:
@@ -297,8 +275,8 @@ var chainPool = sync.Pool{
 	},
 }
 
-// resolveNext resolves where a token leaving component cur on output wire
-// o goes, using and maintaining cur's out-neighbor address cache.
+// resolveNext resolves where a token leaving component lc on output wire
+// o goes, using and maintaining lc's out-neighbor address cache.
 //
 // The wire algebra (climbing out of parents, descending into the sibling
 // subtree) is pure local computation; the DHT is needed only to learn
@@ -307,75 +285,79 @@ var chainPool = sync.Pool{
 // candidate chain, finds a cached neighbor on it, and sends directly; a
 // stale entry bounces (metered as a cache miss) and triggers a fresh
 // resolution.
-func (n *Network) resolveNext(t *topology, lc *liveComp, cur tree.Component, o int, tr *TokenTrace, sp *obs.Span) (next tree.Component, exited bool, netOut int, err error) {
+func (n *Network) resolveNext(t *topology, lc *liveComp, o int, tr *TokenTrace, sp *obs.Span) (next *liveComp, exited bool, netOut int, err error) {
 	// Fast path: the per-wire destination memo. A network exit is pure
-	// wire algebra and never goes stale; a memoized neighbor is used only
-	// if it is still live on the snapshot at the cached host (the §3.5
-	// "direct send" succeeding), otherwise it bounces like any stale
-	// cache entry and the wire is re-resolved below.
+	// wire algebra and never goes stale; a memoized neighbor is used while
+	// its stamps hold or it is still live on the snapshot at the cached
+	// host (the §3.5 "direct send" succeeding), otherwise it bounces like
+	// any stale cache entry and the wire is re-resolved below.
 	if !n.cfg.DisableCache {
 		lc.nbrsMu.Lock()
-		if d, ok := lc.wires[o]; ok {
+		if o < len(lc.wires) {
+			d := &lc.wires[o]
 			if d.exit {
+				netOut = d.netOut
 				lc.nbrsMu.Unlock()
-				return tree.Component{}, true, d.netOut, nil
+				return nil, true, netOut, nil
 			}
-			if host, cached := lc.nbrs[d.path]; cached {
-				if got := t.comps[d.path]; got != nil && got.host == host {
-					lc.nbrsMu.Unlock()
+			if to := d.to; to != nil {
+				next, miss := lc.nextLocked(t, d)
+				lc.nbrsMu.Unlock()
+				if next != nil {
 					tr.CacheHits++
 					if sp != nil {
-						sp.Event("cache-hit", string(d.path), 0)
+						sp.Event("cache-hit", string(next.st.Comp.Path), 0)
 					}
-					return got.st.Comp, false, 0, nil
+					return next, false, 0, nil
 				}
-				tr.CacheMisses++
-				if sp != nil {
-					sp.Event("cache-miss", string(d.path), 0)
+				if miss {
+					tr.CacheMisses++
+					if sp != nil {
+						sp.Event("cache-miss", string(to.st.Comp.Path), 0)
+					}
 				}
-				delete(lc.nbrs, d.path)
+				return n.resolveCold(t, lc, o, tr, sp)
 			}
-			delete(lc.wires, o)
 		}
 		lc.nbrsMu.Unlock()
 	}
+	return n.resolveCold(t, lc, o, tr, sp)
+}
 
-	node, wire := cur, o
+// resolveCold resolves output wire o of lc by wire algebra and the
+// neighbor cache or DHT, and memoizes the result.
+func (n *Network) resolveCold(t *topology, lc *liveComp, o int, tr *TokenTrace, sp *obs.Span) (*liveComp, bool, int, error) {
+	node, wire := lc.st.Comp, o
 	for {
 		parent, idx, ok := node.Parent(n.cfg.Width)
 		if !ok {
 			if !n.cfg.DisableCache {
 				lc.nbrsMu.Lock()
-				lc.wires[o] = wireDst{exit: true, netOut: wire}
+				lc.memoLocked(o, wireDst{exit: true, netOut: wire})
 				lc.nbrsMu.Unlock()
 			}
-			return tree.Component{}, true, wire, nil
+			return nil, true, wire, nil
 		}
 		d := tree.ChildNext(parent.Kind, parent.Width, idx, wire)
 		if !d.ToChild {
 			node, wire = parent, d.ParentOut
 			continue
 		}
-		target, cerr := parent.Child(d.Child)
-		if cerr != nil {
-			return tree.Component{}, false, 0, cerr
+		target, err := parent.Child(d.Child)
+		if err != nil {
+			return nil, false, 0, err
 		}
-		wire = d.ChildIn
-		next, exited, netOut, err = n.descendToLive(t, lc, target, wire, tr, sp)
-		if err == nil && !exited && !n.cfg.DisableCache {
-			lc.nbrsMu.Lock()
-			lc.wires[o] = wireDst{path: next.Path}
-			lc.nbrsMu.Unlock()
-		}
-		return next, exited, netOut, err
+		next, err := n.descendToLive(t, lc, o, target, d.ChildIn, tr, sp)
+		return next, false, 0, err
 	}
 }
 
 // descendToLive finds the live component covering (target, wire),
-// consulting the sender's neighbor cache before issuing DHT lookups. The
+// consulting the sender's neighbor cache before issuing DHT lookups, and
+// memoizes it as the destination of the sender's output wire o. The
 // neighbor cache is guarded by the sending component's own mutex (lock
 // striping): tokens leaving different components never contend.
-func (n *Network) descendToLive(t *topology, lc *liveComp, target tree.Component, wire int, tr *TokenTrace, sp *obs.Span) (tree.Component, bool, int, error) {
+func (n *Network) descendToLive(t *topology, lc *liveComp, o int, target tree.Component, wire int, tr *TokenTrace, sp *obs.Span) (*liveComp, error) {
 	// Compute the candidate chain locally (free).
 	chainp := chainPool.Get().(*[]tree.Component)
 	chain := append((*chainp)[:0], target)
@@ -388,7 +370,7 @@ func (n *Network) descendToLive(t *topology, lc *liveComp, target tree.Component
 		ci, cin := tree.ChildInput(cur.Kind, cur.Width, cwire)
 		child, err := cur.Child(ci)
 		if err != nil {
-			return tree.Component{}, false, 0, err
+			return nil, err
 		}
 		chain = append(chain, child)
 		cur, cwire = child, cin
@@ -402,37 +384,39 @@ func (n *Network) descendToLive(t *topology, lc *liveComp, target tree.Component
 				continue
 			}
 			if got := t.comps[cand.Path]; got != nil && got.host == host {
+				lc.memoLocked(o, wireDst{to: got, epoch: t.epoch, ver: lc.nbrsVer})
 				lc.nbrsMu.Unlock()
 				tr.CacheHits++
 				if sp != nil {
 					sp.Event("cache-hit", string(cand.Path), 0)
 				}
-				return cand, false, 0, nil
+				return got, nil
 			}
 			// Stale: the direct send bounces; re-resolve below.
 			tr.CacheMisses++
 			if sp != nil {
 				sp.Event("cache-miss", string(cand.Path), 0)
 			}
-			delete(lc.nbrs, cand.Path)
+			lc.dropNbrLocked(cand.Path)
 		}
 		lc.nbrsMu.Unlock()
 	}
 
 	// Cold or stale: walk the chain with metered DHT lookups.
 	for _, cand := range chain {
-		host, live, err := n.lookup(t, lc.host, cand.Path, tr, sp)
+		got, err := n.lookup(t, lc.host, cand.Path, tr, sp)
 		if err != nil {
-			return tree.Component{}, false, 0, err
+			return nil, err
 		}
-		if live {
+		if got != nil {
 			if !n.cfg.DisableCache {
 				lc.nbrsMu.Lock()
-				lc.nbrs[cand.Path] = host
+				lc.nbrs[cand.Path] = got.host
+				lc.memoLocked(o, wireDst{to: got, epoch: t.epoch, ver: lc.nbrsVer})
 				lc.nbrsMu.Unlock()
 			}
-			return cand, false, 0, nil
+			return got, nil
 		}
 	}
-	return tree.Component{}, false, 0, fmt.Errorf("core: no live component covers %v", target)
+	return nil, fmt.Errorf("core: no live component covers %v", target)
 }
