@@ -3,7 +3,7 @@ GO ?= go
 # get a second pass under the race detector.
 RACE_PKGS = ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/obs/... ./internal/match/... ./internal/adapt/... ./internal/launch/... .
 
-.PHONY: check fmt vet build test race reconfigsmoke bench benchsmoke perfsmoke tracesmoke comparesmoke partsmoke bench-baseline bench-compare
+.PHONY: check fmt vet build test race reconfigsmoke bench benchsmoke perfsmoke tracesmoke comparesmoke partsmoke bench-baseline bench-compare golden
 
 check: fmt vet build test race reconfigsmoke benchsmoke perfsmoke tracesmoke comparesmoke partsmoke
 
@@ -22,6 +22,12 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# Rewrite the golden experiment tables (internal/experiments/testdata)
+# from the current code. `make test` compares against them; run this only
+# after a change that is meant to alter a table, and review the diff.
+golden:
+	$(GO) test -count=1 -run TestGoldenTables ./internal/experiments -update
 
 # The dist tests that race tokens against splits and merges, 50 times
 # each: a schedule-dependent step-property break shows up in a few runs
