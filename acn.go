@@ -244,15 +244,6 @@ func NewCluster(width int, cut Cut, opts ...Option) (*Cluster, error) {
 	return dist.New(width, cut, dopts...)
 }
 
-// NewClusterOn builds an asynchronous cluster whose token hops and
-// freeze-protocol control messages travel over the given transport with
-// the given retry policy.
-//
-// Deprecated: use NewCluster with WithTransport and WithRetry.
-func NewClusterOn(width int, cut Cut, tr Transport, retry RetryConfig) (*Cluster, error) {
-	return NewCluster(width, cut, WithTransport(tr), WithRetry(retry))
-}
-
 // Ring is a simulated Chord overlay ring.
 type Ring = chord.Ring
 
@@ -272,14 +263,6 @@ func NewRing(seed int64, opts ...Option) *Ring {
 		r.Instrument(o.reg)
 	}
 	return r
-}
-
-// NewRingOn creates an empty Chord ring whose cross-node RPCs travel
-// over the given transport.
-//
-// Deprecated: use NewRing with WithTransport and WithRetry.
-func NewRingOn(seed int64, tr Transport, retry RetryConfig) *Ring {
-	return NewRing(seed, WithTransport(tr), WithRetry(retry))
 }
 
 func applyOptions(opts []Option) options {

@@ -536,12 +536,12 @@ func distClusterTCP(b *testing.B, w int) *dist.Cluster {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { _ = tn.Close() })
-	cl, err := dist.NewOn(w, tree.RootCut(), tn, transport.RetryConfig{
+	cl, err := dist.New(w, tree.RootCut(), dist.WithTransport(tn), dist.WithRetry(transport.RetryConfig{
 		Timeout:    25 * time.Millisecond,
 		MaxRetries: 8,
 		Backoff:    100 * time.Microsecond,
 		BackoffCap: 2 * time.Millisecond,
-	})
+	}))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -243,42 +243,35 @@ func (c *Client) injectBatchWindow(ins []int) (BatchTrace, error) {
 			span = w
 		}
 		bs.cold = bs.cold[:0]
-		if n.cfg.DisableCache {
-			for i := uint64(0); i < span; i++ {
-				o := int((base + i) % w)
-				bs.cold = append(bs.cold, wireCnt{o: o, cnt: (g.count - i + w - 1) / w})
-			}
-		} else {
-			lc.nbrsMu.Lock()
-			for i := uint64(0); i < span; i++ {
-				o := int((base + i) % w)
-				cnt := (g.count - i + w - 1) / w
-				if o >= len(lc.wires) {
-					bs.cold = append(bs.cold, wireCnt{o: o, cnt: cnt})
-					continue
-				}
-				d := &lc.wires[o]
-				if d.exit {
-					n.out[d.netOut].Add(cnt)
-					continue
-				}
-				if d.to != nil {
-					next, miss := lc.nextLocked(t, d)
-					if next != nil {
-						tr.CacheHits++
-						bs.enqueue(next, cnt, head)
-						continue
-					}
-					// A bounce, exactly as on the per-token path:
-					// re-resolve cold.
-					if miss {
-						tr.CacheMisses++
-					}
-				}
+		lc.nbrsMu.Lock()
+		for i := uint64(0); i < span; i++ {
+			o := int((base + i) % w)
+			cnt := (g.count - i + w - 1) / w
+			if o >= len(lc.wires) {
 				bs.cold = append(bs.cold, wireCnt{o: o, cnt: cnt})
+				continue
 			}
-			lc.nbrsMu.Unlock()
+			d := &lc.wires[o]
+			if d.exit {
+				n.out[d.netOut].Add(cnt)
+				continue
+			}
+			if d.to != nil {
+				next, miss := lc.nextLocked(t, d)
+				if next != nil {
+					tr.CacheHits++
+					bs.enqueue(next, cnt, head)
+					continue
+				}
+				// A bounce, exactly as on the per-token path: re-resolve
+				// cold.
+				if miss {
+					tr.CacheMisses++
+				}
+			}
+			bs.cold = append(bs.cold, wireCnt{o: o, cnt: cnt})
 		}
+		lc.nbrsMu.Unlock()
 		for _, cw := range bs.cold {
 			next, exited, netOut, err := n.resolveCold(t, lc, cw.o, &tr, nil)
 			if err != nil {

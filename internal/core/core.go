@@ -371,17 +371,12 @@ func New(cfg Config) (*Network, error) {
 		n.lcache = chord.NewLookupCache(n.ring, cfg.LookupCacheSize)
 	}
 	n.entryLeaf = make([]tree.Path, cfg.Width)
-	for in := 0; in < cfg.Width; in++ {
-		cur, wire := root, in
-		for !cur.IsLeaf() {
-			ci, cin := tree.ChildInput(cur.Kind, cur.Width, wire)
-			child, err := cur.Child(ci)
-			if err != nil {
-				return nil, err
-			}
-			cur, wire = child, cin
+	for in := range n.entryLeaf {
+		leaf, _, err := tree.AHS94.Enter(root, in, tree.Component.IsLeaf)
+		if err != nil {
+			return nil, err
 		}
-		n.entryLeaf[in] = cur.Path
+		n.entryLeaf[in] = leaf.Path
 	}
 	if reg := cfg.Obs; reg != nil {
 		n.ring.Instrument(reg)

@@ -302,16 +302,9 @@ func (n *Network) inputCountsLocked(c tree.Component) ([]uint64, error) {
 // of the (possibly non-live) component c by descending to the live
 // component that produces the wire.
 func (n *Network) emittedOnLocked(c tree.Component, out int) (uint64, error) {
-	for n.comps[c.Path] == nil {
-		if c.IsLeaf() {
-			return 0, fmt.Errorf("core: no live component produces output %d of %v", out, c)
-		}
-		ci, co := tree.OutputSource(c.Kind, c.Width, out)
-		child, err := c.Child(ci)
-		if err != nil {
-			return 0, err
-		}
-		c, out = child, co
+	p, po, err := tree.Produce(c, out, func(x tree.Component) bool { return n.comps[x.Path] != nil })
+	if err != nil {
+		return 0, err
 	}
-	return n.comps[c.Path].st.EmittedOn(out), nil
+	return n.comps[p.Path].st.EmittedOn(po), nil
 }

@@ -290,66 +290,56 @@ func (n *Network) resolveNext(t *topology, lc *liveComp, o int, tr *TokenTrace, 
 	// wire algebra and never goes stale; a memoized neighbor is used while
 	// its stamps hold or it is still live on the snapshot at the cached
 	// host (the §3.5 "direct send" succeeding), otherwise it bounces like
-	// any stale cache entry and the wire is re-resolved below.
-	if !n.cfg.DisableCache {
-		lc.nbrsMu.Lock()
-		if o < len(lc.wires) {
-			d := &lc.wires[o]
-			if d.exit {
-				netOut = d.netOut
-				lc.nbrsMu.Unlock()
-				return nil, true, netOut, nil
-			}
-			if to := d.to; to != nil {
-				next, miss := lc.nextLocked(t, d)
-				lc.nbrsMu.Unlock()
-				if next != nil {
-					tr.CacheHits++
-					if sp != nil {
-						sp.Event("cache-hit", string(next.st.Comp.Path), 0)
-					}
-					return next, false, 0, nil
-				}
-				if miss {
-					tr.CacheMisses++
-					if sp != nil {
-						sp.Event("cache-miss", string(to.st.Comp.Path), 0)
-					}
-				}
-				return n.resolveCold(t, lc, o, tr, sp)
-			}
+	// any stale cache entry and the wire is re-resolved below. With
+	// DisableCache the memo is never written, so every wire resolves cold.
+	lc.nbrsMu.Lock()
+	if o < len(lc.wires) {
+		d := &lc.wires[o]
+		if d.exit {
+			netOut = d.netOut
+			lc.nbrsMu.Unlock()
+			return nil, true, netOut, nil
 		}
-		lc.nbrsMu.Unlock()
+		if to := d.to; to != nil {
+			next, miss := lc.nextLocked(t, d)
+			lc.nbrsMu.Unlock()
+			if next != nil {
+				tr.CacheHits++
+				if sp != nil {
+					sp.Event("cache-hit", string(next.st.Comp.Path), 0)
+				}
+				return next, false, 0, nil
+			}
+			if miss {
+				tr.CacheMisses++
+				if sp != nil {
+					sp.Event("cache-miss", string(to.st.Comp.Path), 0)
+				}
+			}
+			return n.resolveCold(t, lc, o, tr, sp)
+		}
 	}
+	lc.nbrsMu.Unlock()
 	return n.resolveCold(t, lc, o, tr, sp)
 }
 
 // resolveCold resolves output wire o of lc by wire algebra and the
 // neighbor cache or DHT, and memoizes the result.
 func (n *Network) resolveCold(t *topology, lc *liveComp, o int, tr *TokenTrace, sp *obs.Span) (*liveComp, bool, int, error) {
-	node, wire := lc.st.Comp, o
-	for {
-		parent, idx, ok := node.Parent(n.cfg.Width)
-		if !ok {
-			if !n.cfg.DisableCache {
-				lc.nbrsMu.Lock()
-				lc.memoLocked(o, wireDst{exit: true, netOut: wire})
-				lc.nbrsMu.Unlock()
-			}
-			return nil, true, wire, nil
-		}
-		d := tree.ChildNext(parent.Kind, parent.Width, idx, wire)
-		if !d.ToChild {
-			node, wire = parent, d.ParentOut
-			continue
-		}
-		target, err := parent.Child(d.Child)
-		if err != nil {
-			return nil, false, 0, err
-		}
-		next, err := n.descendToLive(t, lc, o, target, d.ChildIn, tr, sp)
-		return next, false, 0, err
+	target, wire, exit, err := tree.AHS94.Leave(n.cfg.Width, lc.st.Comp, o)
+	if err != nil {
+		return nil, false, 0, err
 	}
+	if exit {
+		if !n.cfg.DisableCache {
+			lc.nbrsMu.Lock()
+			lc.memoLocked(o, wireDst{exit: true, netOut: wire})
+			lc.nbrsMu.Unlock()
+		}
+		return nil, true, wire, nil
+	}
+	next, err := n.descendToLive(t, lc, o, target, wire, tr, sp)
+	return next, false, 0, err
 }
 
 // descendToLive finds the live component covering (target, wire),
@@ -358,49 +348,46 @@ func (n *Network) resolveCold(t *topology, lc *liveComp, o int, tr *TokenTrace, 
 // neighbor cache is guarded by the sending component's own mutex (lock
 // striping): tokens leaving different components never contend.
 func (n *Network) descendToLive(t *topology, lc *liveComp, o int, target tree.Component, wire int, tr *TokenTrace, sp *obs.Span) (*liveComp, error) {
-	// Compute the candidate chain locally (free).
+	// Compute the candidate chain locally (free): every component on the
+	// input descent from target down to the leaf.
 	chainp := chainPool.Get().(*[]tree.Component)
-	chain := append((*chainp)[:0], target)
+	chain := (*chainp)[:0]
 	defer func() {
 		*chainp = chain[:0]
 		chainPool.Put(chainp)
 	}()
-	cwire := wire
-	for cur := target; !cur.IsLeaf(); {
-		ci, cin := tree.ChildInput(cur.Kind, cur.Width, cwire)
-		child, err := cur.Child(ci)
-		if err != nil {
-			return nil, err
-		}
-		chain = append(chain, child)
-		cur, cwire = child, cin
+	if _, _, err := tree.AHS94.Enter(target, wire, func(c tree.Component) bool {
+		chain = append(chain, c)
+		return c.IsLeaf()
+	}); err != nil {
+		return nil, err
 	}
 
-	if !n.cfg.DisableCache {
-		lc.nbrsMu.Lock()
-		for _, cand := range chain {
-			host, cached := lc.nbrs[cand.Path]
-			if !cached {
-				continue
-			}
-			if got := t.comps[cand.Path]; got != nil && got.host == host {
-				lc.memoLocked(o, wireDst{to: got, epoch: t.epoch, ver: lc.nbrsVer})
-				lc.nbrsMu.Unlock()
-				tr.CacheHits++
-				if sp != nil {
-					sp.Event("cache-hit", string(cand.Path), 0)
-				}
-				return got, nil
-			}
-			// Stale: the direct send bounces; re-resolve below.
-			tr.CacheMisses++
-			if sp != nil {
-				sp.Event("cache-miss", string(cand.Path), 0)
-			}
-			lc.dropNbrLocked(cand.Path)
+	// The neighbor cache is empty under DisableCache (the insert below is
+	// the only writer), so this probe then finds nothing.
+	lc.nbrsMu.Lock()
+	for _, cand := range chain {
+		host, cached := lc.nbrs[cand.Path]
+		if !cached {
+			continue
 		}
-		lc.nbrsMu.Unlock()
+		if got := t.comps[cand.Path]; got != nil && got.host == host {
+			lc.memoLocked(o, wireDst{to: got, epoch: t.epoch, ver: lc.nbrsVer})
+			lc.nbrsMu.Unlock()
+			tr.CacheHits++
+			if sp != nil {
+				sp.Event("cache-hit", string(cand.Path), 0)
+			}
+			return got, nil
+		}
+		// Stale: the direct send bounces; re-resolve below.
+		tr.CacheMisses++
+		if sp != nil {
+			sp.Event("cache-miss", string(cand.Path), 0)
+		}
+		lc.dropNbrLocked(cand.Path)
 	}
+	lc.nbrsMu.Unlock()
 
 	// Cold or stale: walk the chain with metered DHT lookups.
 	for _, cand := range chain {

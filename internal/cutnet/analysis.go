@@ -38,7 +38,7 @@ func (n *Net) Analyze() (*DAG, error) {
 	// Input layer: follow each network input wire down to its cut member.
 	inSet := make(map[int]bool)
 	for in := 0; in < n.width; in++ {
-		c, _, err := n.entryLocked(in)
+		c, _, err := n.wiring.Enter(tree.MustRoot(n.width), in, n.live)
 		if err != nil {
 			return nil, err
 		}
@@ -50,7 +50,7 @@ func (n *Net) Analyze() (*DAG, error) {
 	outSet := make(map[int]bool)
 	for i, c := range comps {
 		for o := 0; o < c.Width; o++ {
-			dst, _, exited, _, err := n.resolveOutLocked(c, o)
+			dst, _, exited, err := n.nextLocked(c, o)
 			if err != nil {
 				return nil, err
 			}

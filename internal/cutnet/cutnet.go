@@ -7,7 +7,8 @@
 // fully traverses the network inside Inject, so the network is quiescent
 // between calls and Split/Merge need no freeze protocol. The distributed,
 // message-passing engine that maps components onto Chord nodes lives in
-// internal/core and reuses the same wire algebra.
+// internal/core; every engine routes with the same cut-level wire walk
+// (tree.Wiring.Leave, Wiring.Enter and tree.Produce).
 package cutnet
 
 import (
@@ -19,31 +20,19 @@ import (
 	"repro/internal/tree"
 )
 
-// WiringFunc resolves a child's output wire inside its parent's
-// decomposition; it is tree.ChildNext for the correct AHS94 wiring.
-type WiringFunc func(kind tree.Kind, width, child, out int) tree.Dest
-
-// InputFunc resolves a component's input wire to a child; it is
-// tree.ChildInput for the correct AHS94 wiring.
-type InputFunc func(kind tree.Kind, width, in int) (child, childIn int)
-
 // Option configures a Net.
 type Option func(*Net)
 
 // WithProseWiring switches the network to the paper's literal prose wiring
 // (see the erratum in DESIGN.md). Used only by the E17 experiment.
 func WithProseWiring() Option {
-	return func(n *Net) {
-		n.next = tree.ChildNextProse
-		n.input = tree.ChildInputProse
-	}
+	return func(n *Net) { n.wiring = tree.Prose }
 }
 
 // Net is a counting network over a cut of T_w.
 type Net struct {
-	width int
-	next  WiringFunc
-	input InputFunc
+	width  int
+	wiring tree.Wiring
 
 	mu     sync.RWMutex
 	comps  map[tree.Path]*component.State
@@ -62,8 +51,6 @@ func New(w int, cut tree.Cut, opts ...Option) (*Net, error) {
 	}
 	n := &Net{
 		width:    w,
-		next:     tree.ChildNext,
-		input:    tree.ChildInput,
 		comps:    make(map[tree.Path]*component.State, len(cut)),
 		out:      make([]int64, w),
 		injected: make([]int64, w),
@@ -110,27 +97,22 @@ func (n *Net) InjectTrace(in int) (out, hops int, err error) {
 	n.injected[in]++
 	n.cmu.Unlock()
 
-	cur, wire, err := n.entryLocked(in)
+	cur, _, err := n.wiring.Enter(tree.MustRoot(n.width), in, n.live)
 	if err != nil {
 		return 0, 0, err
 	}
-	_ = wire // components ignore the input wire they receive tokens on
 	for {
-		st := n.comps[cur.Path]
-		if st == nil {
-			return 0, 0, fmt.Errorf("cutnet: component %v missing from cut", cur)
-		}
 		hops++
-		o := st.Step()
-		nextComp, nextWire, exited, netOut, rerr := n.resolveOutLocked(cur, o)
-		if rerr != nil {
-			return 0, 0, rerr
+		o := n.comps[cur.Path].Step()
+		next, wire, exited, err := n.nextLocked(cur, o)
+		if err != nil {
+			return 0, 0, err
 		}
 		if exited {
-			n.recordOut(netOut)
-			return netOut, hops, nil
+			n.recordOut(wire)
+			return wire, hops, nil
 		}
-		cur, wire = nextComp, nextWire
+		cur = next
 	}
 }
 
@@ -140,58 +122,21 @@ func (n *Net) recordOut(wire int) {
 	n.cmu.Unlock()
 }
 
-// entryLocked descends from the root to the cut member receiving network
-// input wire in. Caller holds at least a read lock.
-func (n *Net) entryLocked(in int) (tree.Component, int, error) {
-	cur := tree.MustRoot(n.width)
-	wire := in
-	for n.comps[cur.Path] == nil {
-		if cur.IsLeaf() {
-			return tree.Component{}, 0, fmt.Errorf("cutnet: no cut member covers input %d", in)
-		}
-		ci, cin := n.input(cur.Kind, cur.Width, wire)
-		child, err := cur.Child(ci)
-		if err != nil {
-			return tree.Component{}, 0, err
-		}
-		cur, wire = child, cin
-	}
-	return cur, wire, nil
-}
+// live reports whether c is a member of the current cut. Caller holds at
+// least a read lock.
+func (n *Net) live(c tree.Component) bool { return n.comps[c.Path] != nil }
 
-// resolveOutLocked resolves where a token leaving component c on output
-// wire o goes: either into another cut member (with its input wire) or out
-// of the network. Caller holds at least a read lock.
-func (n *Net) resolveOutLocked(c tree.Component, o int) (dst tree.Component, dstWire int, exited bool, netOut int, err error) {
-	node, wire := c, o
-	for {
-		parent, idx, ok := node.Parent(n.width)
-		if !ok {
-			return tree.Component{}, 0, true, wire, nil
-		}
-		d := n.next(parent.Kind, parent.Width, idx, wire)
-		if !d.ToChild {
-			node, wire = parent, d.ParentOut
-			continue
-		}
-		target, cerr := parent.Child(d.Child)
-		if cerr != nil {
-			return tree.Component{}, 0, false, 0, cerr
-		}
-		wire = d.ChildIn
-		for n.comps[target.Path] == nil {
-			if target.IsLeaf() {
-				return tree.Component{}, 0, false, 0, fmt.Errorf("cutnet: no cut member covers %v", target)
-			}
-			ci, cin := n.input(target.Kind, target.Width, wire)
-			target, cerr = target.Child(ci)
-			if cerr != nil {
-				return tree.Component{}, 0, false, 0, cerr
-			}
-			wire = cin
-		}
-		return target, wire, false, 0, nil
+// nextLocked resolves where a token leaving cut member c on output wire o
+// goes: into the cut member dst (components ignore the input wire they
+// receive tokens on), or out of the network on output wire wire. Caller
+// holds at least a read lock.
+func (n *Net) nextLocked(c tree.Component, o int) (dst tree.Component, wire int, exited bool, err error) {
+	next, wire, exited, err := n.wiring.Leave(n.width, c, o)
+	if err != nil || exited {
+		return tree.Component{}, wire, exited, err
 	}
+	dst, _, err = n.wiring.Enter(next, wire, n.live)
+	return dst, 0, false, err
 }
 
 // Split replaces the component at path p by its six (or four, or two)
@@ -263,18 +208,11 @@ func (n *Net) inputCountsLocked(c tree.Component) ([]uint64, error) {
 // of the (possibly non-live) component c, by descending to the live cut
 // member that actually produces the wire. Caller holds a lock.
 func (n *Net) emittedOnLocked(c tree.Component, out int) (uint64, error) {
-	for n.comps[c.Path] == nil {
-		if c.IsLeaf() {
-			return 0, fmt.Errorf("cutnet: no cut member produces output %d of %v", out, c)
-		}
-		ci, co := tree.OutputSource(c.Kind, c.Width, out)
-		child, err := c.Child(ci)
-		if err != nil {
-			return 0, err
-		}
-		c, out = child, co
+	p, po, err := tree.Produce(c, out, n.live)
+	if err != nil {
+		return 0, err
 	}
-	return n.comps[c.Path].EmittedOn(out), nil
+	return n.comps[p.Path].EmittedOn(po), nil
 }
 
 // Merge reforms the component at path p from its children, recursively

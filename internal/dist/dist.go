@@ -49,6 +49,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -166,27 +167,21 @@ type Cluster struct {
 	reconfig sync.Mutex // serializes Split/Merge against each other only
 }
 
-// New creates a cluster implementing BITONIC[w] with the given cut over an
-// ideal (reliable, zero-latency) in-memory fabric. Options select other
-// fabrics, retry policies and observability; with none it keeps its
-// historical ideal-fabric behavior.
+// New creates a cluster implementing BITONIC[w] with the given cut,
+// configured by opts. With none it runs over an ideal (reliable,
+// zero-latency) in-memory fabric with default retries and no
+// observability.
 func New(w int, cut tree.Cut, opts ...Option) (*Cluster, error) {
-	return NewWith(w, cut, opts...)
-}
-
-// NewOn creates a cluster whose token and control messages travel over tr
-// with the given retry policy. Pass a transport.Faulty to exercise the
-// freeze protocol under message loss, delay, duplication and reordering.
-//
-// Deprecated: use New(w, cut, WithTransport(tr), WithRetry(retry)).
-func NewOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryConfig) (*Cluster, error) {
-	return New(w, cut, WithTransport(tr), WithRetry(retry))
-}
-
-// newOn is the real constructor behind NewWith.
-func newOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryConfig) (*Cluster, error) {
 	if err := cut.Validate(w); err != nil {
 		return nil, err
+	}
+	var o options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	tr := o.tr
+	if tr == nil {
+		tr = transport.NewMem()
 	}
 	// The retry client's correctness contract is at-most-once delivery: a
 	// reply that misses the retry deadline triggers a re-send, and without
@@ -201,7 +196,7 @@ func newOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryCon
 	cl := &Cluster{
 		w:        w,
 		tr:       tr,
-		rc:       transport.NewClient(tr, retry),
+		rc:       transport.NewClient(tr, o.retry),
 		drainCh:  make(chan struct{}, 1),
 		out:      make([]atomic.Uint64, w),
 		injected: make([]atomic.Uint64, w),
@@ -219,6 +214,17 @@ func newOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryCon
 		m[c.Path] = cm
 	}
 	cl.topo.Store(&topology{comps: m, changed: make(chan struct{})})
+	// Observability wiring in dependency order: registry first so the
+	// tracer can register as a trace source on it.
+	if o.reg != nil {
+		cl.Instrument(o.reg)
+	}
+	if o.traceEvery > 0 {
+		cl.Trace(o.traceEvery, o.traceRetain)
+	}
+	if o.adapt != nil {
+		cl.UseAdapt(o.adapt)
+	}
 	return cl, nil
 }
 
@@ -515,10 +521,11 @@ func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 	// routable now, tokens in `parked` wait for a snapshot to be replaced.
 	// Groups park in round order, so parked[0] holds the oldest snapshot,
 	// whose channel closes first.
+	root := tree.MustRoot(cl.w)
 	pos := make([]nextHop, len(ins))
 	active := make([]int, len(ins))
 	for i, in := range ins {
-		pos[i] = nextHop{wire: in}
+		pos[i] = nextHop{c: root, wire: in}
 		active[i] = i
 	}
 	type parkedGroup struct {
@@ -552,7 +559,7 @@ func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 		var groups []*group
 		byComp := make(map[*comp]*group)
 		for _, idx := range active {
-			cm, rwire, err := cl.findLive(topo, pos[idx].path, pos[idx].wire)
+			cm, rwire, err := cl.findLive(topo, pos[idx].c, pos[idx].wire)
 			if err != nil {
 				return nil, err
 			}
@@ -600,7 +607,7 @@ func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 						sp.Event(refusedEvent(res.Status), string(g.cm.c.Path), int64(len(idxs)))
 					}
 					for k, idx := range idxs {
-						pos[idx] = nextHop{path: g.cm.c.Path, wire: wires[k]}
+						pos[idx] = nextHop{c: g.cm.c, wire: wires[k]}
 					}
 					parked = append(parked, parkedGroup{changed: topo.changed, idxs: idxs})
 				case wire.StatusProcessed:
@@ -697,10 +704,10 @@ func (cl *Cluster) route(in int) (int, error) {
 
 	// The network input wire belongs to whatever live component covers the
 	// root's input descent; delivery re-resolves as needed.
-	path, w := tree.Path(""), in
+	hop := nextHop{c: tree.MustRoot(cl.w), wire: in}
 	for {
 		topo := cl.topo.Load()
-		cm, rwire, err := cl.findLive(topo, path, w)
+		cm, rwire, err := cl.findLive(topo, hop.c, hop.wire)
 		if err != nil {
 			return 0, err
 		}
@@ -727,7 +734,7 @@ func (cl *Cluster) route(in int) (int, error) {
 			}
 			<-topo.changed
 			cl.hRefused.Since(wait)
-			path, w = cm.c.Path, rwire
+			hop = nextHop{c: cm.c, wire: rwire}
 			continue
 		}
 		if sp != nil {
@@ -748,92 +755,61 @@ func (cl *Cluster) route(in int) (int, error) {
 			}
 			return netOut, nil
 		}
-		path, w = next.path, next.wire
+		hop = next
 	}
 }
 
-// findLive resolves the live component of snapshot topo covering (path,
-// wire): path itself, a descendant (after a split: descend through input
-// maps), or an ancestor (after a merge: ascend through the entry-child
-// inverse). This is local address resolution — the analogue of core's
-// cached out-neighbor directory — not a message.
-func (cl *Cluster) findLive(topo *topology, path tree.Path, wire int) (*comp, int, error) {
-	comps := topo.comps
-	// Exact or descend.
-	cur, err := tree.ComponentAt(cl.w, path)
-	if err != nil {
-		return nil, 0, err
+// findLive resolves the live component of snapshot topo covering input
+// wire wire of c: c itself, a descendant (after a split: descend through
+// input maps), or an ancestor (after a merge: ascend through the
+// entry-child inverse). This is local address resolution — the analogue
+// of core's cached out-neighbor directory — not a message.
+func (cl *Cluster) findLive(topo *topology, c tree.Component, wire int) (*comp, int, error) {
+	var cm *comp
+	_, w, err := tree.AHS94.Enter(c, wire, func(x tree.Component) bool {
+		cm = topo.comps[x.Path]
+		return cm != nil
+	})
+	if cm != nil {
+		return cm, w, nil
 	}
-	w := wire
-	for {
-		if cm := comps[cur.Path]; cm != nil {
-			return cm, w, nil
-		}
-		if cur.IsLeaf() {
-			break
-		}
-		ci, cin := tree.ChildInput(cur.Kind, cur.Width, w)
-		child, cerr := cur.Child(ci)
-		if cerr != nil {
-			return nil, 0, cerr
-		}
-		cur, w = child, cin
+	if !errors.Is(err, tree.ErrUncovered) {
+		return nil, 0, err
 	}
 	// Ascend: valid only along entry children (post-merge stragglers).
-	cur, err = tree.ComponentAt(cl.w, path)
-	if err != nil {
-		return nil, 0, err
-	}
-	w = wire
+	cur, w := c, wire
 	for {
-		pp, idx, ok := cur.Path.Parent()
+		parent, idx, ok := cur.Parent(cl.w)
 		if !ok {
-			return nil, 0, fmt.Errorf("dist: no live component covers %q wire %d", path, wire)
-		}
-		parent, perr := tree.ComponentAt(cl.w, pp)
-		if perr != nil {
-			return nil, 0, perr
+			return nil, 0, fmt.Errorf("dist: no live component covers %v wire %d", c, wire)
 		}
 		pin, isEntry := tree.InvChildInput(parent.Kind, parent.Width, idx, w)
 		if !isEntry {
-			return nil, 0, fmt.Errorf("dist: token stranded at non-entry %q wire %d", path, wire)
+			return nil, 0, fmt.Errorf("dist: token stranded at non-entry %v wire %d", c, wire)
 		}
 		cur, w = parent, pin
-		if cm := comps[cur.Path]; cm != nil {
+		if cm := topo.comps[cur.Path]; cm != nil {
 			return cm, w, nil
 		}
 	}
 }
 
-// nextHop is a token's position: the component path and input wire it is
+// nextHop is a token's position: the component and input wire it is
 // headed for, resolved to a live component when it is delivered.
 type nextHop struct {
-	path tree.Path
+	c    tree.Component
 	wire int
 }
 
 // resolveNext computes where a token leaving component c on output wire o
-// goes under the current cut.
+// goes: the coarsest component it enters (findLive descends as needed
+// when the token lands), or the network output wire it exits on.
 func (cl *Cluster) resolveNext(c tree.Component, o int) (nextHop, bool, int, error) {
-	node, wire := c, o
-	for {
-		parent, idx, ok := node.Parent(cl.w)
-		if !ok {
-			return nextHop{}, true, wire, nil
-		}
-		d := tree.ChildNext(parent.Kind, parent.Width, idx, wire)
-		if !d.ToChild {
-			node, wire = parent, d.ParentOut
-			continue
-		}
-		target, err := parent.Child(d.Child)
-		if err != nil {
-			return nextHop{}, false, 0, err
-		}
-		// Deliver at the coarsest level; findLive descends as needed when
-		// the token lands.
-		return nextHop{path: target.Path, wire: d.ChildIn}, false, 0, nil
+	next, wire, exited, err := tree.AHS94.Leave(cl.w, c, o)
+	if err != nil || exited {
+		return nextHop{}, exited, wire, err
 	}
+	return nextHop{c: next, wire: wire}, false, 0, nil
 }
 
 // OutCounts returns the per-output-wire emission counts.

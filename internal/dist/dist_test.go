@@ -311,7 +311,7 @@ func TestFindLiveAscendAfterMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "00" was an entry child of "0", which was an entry child of the root.
-	cm, wire, err := cl.findLive(cl.topo.Load(), "00", 1)
+	cm, wire, err := cl.findLive(cl.topo.Load(), mustComp(t, w, "00"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,9 +323,19 @@ func TestFindLiveAscendAfterMerge(t *testing.T) {
 	}
 	// A non-entry child has no upward wire mapping; such tokens can only
 	// exist while the assembly drains, so after the merge this is an error.
-	if _, _, err := cl.findLive(cl.topo.Load(), "2", 0); err == nil {
+	if _, _, err := cl.findLive(cl.topo.Load(), mustComp(t, w, "2"), 0); err == nil {
 		t.Fatal("stranded non-entry delivery should error")
 	}
+}
+
+// mustComp resolves the component at path p of T_w.
+func mustComp(t *testing.T, w int, p tree.Path) tree.Component {
+	t.Helper()
+	c, err := tree.ComponentAt(w, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // TestFindLiveDescendsAfterSplit: a token addressed to a split-away parent
@@ -339,7 +349,7 @@ func TestFindLiveDescendsAfterSplit(t *testing.T) {
 	if err := cl.Split(""); err != nil {
 		t.Fatal(err)
 	}
-	cm, wire, err := cl.findLive(cl.topo.Load(), "", 5)
+	cm, wire, err := cl.findLive(cl.topo.Load(), tree.MustRoot(w), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

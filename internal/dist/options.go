@@ -4,12 +4,11 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/obs"
 	"repro/internal/transport"
-	"repro/internal/tree"
 )
 
 // Option configures a Cluster at construction. Options compose left to
-// right; the zero set reproduces New's historical behavior (in-memory
-// fabric, default retries, no observability). The facade re-exports
+// right; the zero set is an in-memory fabric with default retries and no
+// observability. The facade re-exports
 // these, so application callers and experiments build clusters through
 // one path instead of a positional-constructor zoo.
 type Option func(*options)
@@ -56,33 +55,4 @@ func WithAdapt(c *adapt.Controller) Option {
 // the spans through the registry's trace sources.
 func WithTrace(every, retain int) Option {
 	return func(o *options) { o.traceEvery, o.traceRetain = every, retain }
-}
-
-// NewWith creates a cluster implementing BITONIC[w] with the given cut,
-// configured by opts. This is the construction path everything else
-// funnels into: New and NewOn are thin wrappers over it.
-func NewWith(w int, cut tree.Cut, opts ...Option) (*Cluster, error) {
-	o := options{tr: nil}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.tr == nil {
-		o.tr = transport.NewMem()
-	}
-	cl, err := newOn(w, cut, o.tr, o.retry)
-	if err != nil {
-		return nil, err
-	}
-	// Observability wiring in dependency order: registry first so the
-	// tracer can register as a trace source on it.
-	if o.reg != nil {
-		cl.Instrument(o.reg)
-	}
-	if o.traceEvery > 0 {
-		cl.Trace(o.traceEvery, o.traceRetain)
-	}
-	if o.adapt != nil {
-		cl.UseAdapt(o.adapt)
-	}
-	return cl, nil
 }

@@ -228,18 +228,13 @@ func (s *Sim) schedule(at float64, fn func()) {
 
 // arriveAtEntry routes a new token to the input component covering wire in.
 func (s *Sim) arriveAtEntry(tok *token, in int) {
-	cur := tree.MustRoot(s.cfg.Width)
-	wire := in
-	for s.comps[cur.Path] == nil {
-		ci, cin := tree.ChildInput(cur.Kind, cur.Width, wire)
-		child, err := cur.Child(ci)
-		if err != nil {
-			return
-		}
-		cur, wire = child, cin
+	if entry, _, err := tree.AHS94.Enter(tree.MustRoot(s.cfg.Width), in, s.live); err == nil {
+		s.arriveAtComp(tok, entry)
 	}
-	s.arriveAtComp(tok, cur)
 }
+
+// live reports whether c is a member of the simulated cut.
+func (s *Sim) live(c tree.Component) bool { return s.comps[c.Path] != nil }
 
 // arriveAtComp queues the token on a core of the component's host node:
 // the component's affine core, unless that core is backlogged and another
@@ -297,40 +292,23 @@ func (s *Sim) arriveAtComp(tok *token, comp tree.Component) {
 // token.
 func (s *Sim) processAt(tok *token, comp tree.Component) {
 	o := s.comps[comp.Path].Step()
-	node, wire := comp, o
-	for {
-		parent, idx, ok := node.Parent(s.cfg.Width)
-		if !ok {
-			s.out[wire]++
-			s.completed++
-			s.latencies = append(s.latencies, s.now-tok.start)
-			if s.now > s.lastDone {
-				s.lastDone = s.now
-			}
-			return
-		}
-		d := tree.ChildNext(parent.Kind, parent.Width, idx, wire)
-		if !d.ToChild {
-			node, wire = parent, d.ParentOut
-			continue
-		}
-		target, err := parent.Child(d.Child)
-		if err != nil {
-			return
-		}
-		wire = d.ChildIn
-		for s.comps[target.Path] == nil {
-			ci, cin := tree.ChildInput(target.Kind, target.Width, wire)
-			target, err = target.Child(ci)
-			if err != nil {
-				return
-			}
-			wire = cin
-		}
-		next := target
-		s.schedule(s.now+s.linkTime(), func() { s.arriveAtComp(tok, next) })
+	next, wire, exited, err := tree.AHS94.Leave(s.cfg.Width, comp, o)
+	if err != nil {
 		return
 	}
+	if exited {
+		s.out[wire]++
+		s.completed++
+		s.latencies = append(s.latencies, s.now-tok.start)
+		if s.now > s.lastDone {
+			s.lastDone = s.now
+		}
+		return
+	}
+	if next, _, err = tree.AHS94.Enter(next, wire, s.live); err != nil {
+		return
+	}
+	s.schedule(s.now+s.linkTime(), func() { s.arriveAtComp(tok, next) })
 }
 
 // linkTime is the delivery time of one inter-component message: the link

@@ -16,13 +16,18 @@
 //   - the wire algebra connecting components: ChildInput maps a component
 //     input wire to a child input, ChildNext maps a child output wire to
 //     either a sibling input or a component output, and InvChildInput maps
-//     an entry child's input back to the parent's input wire.
+//     an entry child's input back to the parent's input wire,
+//   - the cut-level wire walk every engine routes with: Wiring.Leave climbs
+//     an output wire out of its parents, Wiring.Enter descends an input
+//     wire to the first accepted component, and Produce descends an output
+//     wire to the first accepted producer.
 //
 // Erratum implemented here (see DESIGN.md): the paper's prose sends even
 // outputs of both BITONIC[k/2] children to the top merger; at balancer
 // granularity that violates the step property. We use the AHS94 cross
-// wiring the paper cites (even-of-top with odd-of-bottom), and expose the
-// literal prose variant as ChildNextProse for the E17 regression experiment.
+// wiring the paper cites (even-of-top with odd-of-bottom), and keep the
+// literal prose variant as the Prose wiring for the E17 regression
+// experiment.
 package tree
 
 import (
@@ -60,8 +65,10 @@ func (k Kind) String() string {
 // 0=MIX top, 1=MIX bottom. In every case children 0 and 1 are the entry
 // children: the parent's own input wires feed only them.
 
-// childKinds[kind] lists the kinds of the children of a component.
-var childKinds = map[Kind][]Kind{
+// childKinds[kind] lists the kinds of the children of a component. It is
+// an array rather than a map: every climb and descent of the wire walks
+// indexes it once per level.
+var childKinds = [...][]Kind{
 	KindBitonic: {KindBitonic, KindBitonic, KindMerger, KindMerger, KindMix, KindMix},
 	KindMerger:  {KindMerger, KindMerger, KindMix, KindMix},
 	KindMix:     {KindMix, KindMix},

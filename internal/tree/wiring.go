@@ -1,6 +1,9 @@
 package tree
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // This file implements the wire algebra of the decomposition (Section 2.1).
 // All functions are pure. Throughout, a parent component has width k, its
@@ -205,13 +208,26 @@ func OutputSource(kind Kind, width, out int) (child, childOut int) {
 	return deg - 1, out - h
 }
 
-// ChildNextProse is the literal prose wiring of Section 2.1, which routes
-// even outputs of both BITONIC children to the top merger. It differs from
-// ChildNext only on the outputs of a BITONIC parent's bottom BITONIC child
-// and is provided solely for the E17 erratum experiment: expanded to
-// balancer granularity it violates the step property.
-func ChildNextProse(kind Kind, width, child, out int) Dest {
-	if kind == KindBitonic && child == 1 {
+// Wiring selects the decomposition's internal wiring.
+type Wiring uint8
+
+const (
+	// AHS94 is the cross wiring of ChildNext and ChildInput, which every
+	// engine routes with.
+	AHS94 Wiring = iota
+	// Prose is the literal prose wiring of Section 2.1, which routes even
+	// outputs of both BITONIC children to the top merger. It differs from
+	// AHS94 only on the outputs of a BITONIC parent's bottom BITONIC child
+	// (and the matching merger input map) and exists solely for the E17
+	// erratum experiment: expanded to balancer granularity it violates the
+	// step property.
+	Prose
+)
+
+// next maps output wire out of child of a component of the given kind and
+// width to its destination under the wiring (ChildNext for AHS94).
+func (wr Wiring) next(kind Kind, width, child, out int) Dest {
+	if wr == Prose && kind == KindBitonic && child == 1 {
 		q := width / 4
 		if out%2 == 0 {
 			return Dest{ToChild: true, Child: 2, ChildIn: q + out/2}
@@ -221,10 +237,11 @@ func ChildNextProse(kind Kind, width, child, out int) Dest {
 	return ChildNext(kind, width, child, out)
 }
 
-// ChildInputProse is the merger input map consistent with ChildNextProse
-// (even wires of both halves to the top merger).
-func ChildInputProse(kind Kind, width, in int) (child, childIn int) {
-	if kind == KindMerger {
+// input maps input wire in of a component to the child that receives it
+// under the wiring (ChildInput for AHS94). The prose merger map sends the
+// even wires of both halves to the top merger.
+func (wr Wiring) input(kind Kind, width, in int) (child, childIn int) {
+	if wr == Prose && kind == KindMerger {
 		h := width / 2
 		q := width / 4
 		j := in
@@ -241,6 +258,73 @@ func ChildInputProse(kind Kind, width, in int) (child, childIn int) {
 	return ChildInput(kind, width, in)
 }
 
+// ErrUncovered reports that a descent reached a leaf without meeting a
+// component its caller accepts: no member of the caller's cut covers the
+// wire.
+var ErrUncovered = errors.New("tree: no accepted component covers the wire")
+
+// Leave climbs output wire out of component c of T_w while the wire exits
+// a parent (Section 2.1) and returns where it leads: the coarsest
+// component next and its input wire, or, when the wire leaves the root,
+// the network output wire with exit set. Callers route into a cut by
+// following next with Enter.
+func (wr Wiring) Leave(w int, c Component, out int) (next Component, wire int, exit bool, err error) {
+	for {
+		parent, idx, ok := c.Parent(w)
+		if !ok {
+			return Component{}, out, true, nil
+		}
+		d := wr.next(parent.Kind, parent.Width, idx, out)
+		if !d.ToChild {
+			c, out = parent, d.ParentOut
+			continue
+		}
+		next, err = parent.Child(d.Child)
+		return next, d.ChildIn, false, err
+	}
+}
+
+// Enter descends from input wire in of component c through the input maps
+// and returns the first component on the way that accept takes, c itself
+// first, with the input wire the token reaches it on. It fails with
+// ErrUncovered when accept rejects every component down to the leaf.
+func (wr Wiring) Enter(c Component, in int, accept func(Component) bool) (Component, int, error) {
+	cur, wire := c, in
+	for !accept(cur) {
+		if cur.IsLeaf() {
+			return Component{}, 0, fmt.Errorf("%w: %v input %d", ErrUncovered, c, in)
+		}
+		ci, cin := wr.input(cur.Kind, cur.Width, wire)
+		var err error
+		if cur, err = cur.Child(ci); err != nil {
+			return Component{}, 0, err
+		}
+		wire = cin
+	}
+	return cur, wire, nil
+}
+
+// Produce descends output wire out of component c through OutputSource and
+// returns the first producer on the way that accept takes, c itself first,
+// with the output wire it emits the tokens on. Both wirings share the
+// output maps. It fails with ErrUncovered when accept rejects every
+// producer down to the leaf.
+func Produce(c Component, out int, accept func(Component) bool) (Component, int, error) {
+	cur, wire := c, out
+	for !accept(cur) {
+		if cur.IsLeaf() {
+			return Component{}, 0, fmt.Errorf("%w: %v output %d", ErrUncovered, c, out)
+		}
+		ci, co := OutputSource(cur.Kind, cur.Width, wire)
+		var err error
+		if cur, err = cur.Child(ci); err != nil {
+			return Component{}, 0, err
+		}
+		wire = co
+	}
+	return cur, wire, nil
+}
+
 // SourceOf computes the inverse of the component-level wiring: for input
 // wire in of the component at path p in T_w, it returns either the network
 // input wire that feeds it (fromNetwork=true) or the sibling component and
@@ -248,7 +332,7 @@ func ChildInputProse(kind Kind, width, in int) (child, childIn int) {
 //
 // The returned source component is expressed at the coarsest level at which
 // the connection appears; callers resolving against a cut should descend
-// from it with OutputOwner.
+// from it with Produce.
 func SourceOf(w int, p Path, in int) (src Component, srcOut int, fromNetwork bool, netIn int, err error) {
 	cur, err := ComponentAt(w, p)
 	if err != nil {

@@ -160,7 +160,7 @@ func TestProseWiringDiffersOnlyOnBottomBitonic(t *testing.T) {
 		for child := 0; child < Degree(kind); child++ {
 			for out := 0; out < width/2; out++ {
 				a := ChildNext(kind, width, child, out)
-				b := ChildNextProse(kind, width, child, out)
+				b := Prose.next(kind, width, child, out)
 				isBottomBitonic := kind == KindBitonic && child == 1
 				if isBottomBitonic {
 					if a == b {
@@ -293,7 +293,7 @@ func TestProseInputBijection(t *testing.T) {
 	for _, width := range []int{4, 8, 16} {
 		seen := make(map[[2]int]bool)
 		for in := 0; in < width; in++ {
-			child, childIn := ChildInputProse(KindMerger, width, in)
+			child, childIn := Prose.input(KindMerger, width, in)
 			key := [2]int{child, childIn}
 			if seen[key] {
 				t.Fatalf("w=%d: duplicate prose input mapping %v", width, key)
@@ -308,7 +308,7 @@ func TestProseInputBijection(t *testing.T) {
 		}
 		// Non-merger kinds defer to the standard map.
 		for in := 0; in < width; in++ {
-			c1, i1 := ChildInputProse(KindBitonic, width, in)
+			c1, i1 := Prose.input(KindBitonic, width, in)
 			c2, i2 := ChildInput(KindBitonic, width, in)
 			if c1 != c2 || i1 != i2 {
 				t.Fatalf("prose bitonic input map diverged")
