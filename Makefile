@@ -33,7 +33,7 @@ golden:
 # each: a schedule-dependent step-property break shows up in a few runs
 # of fifty where a single `go test` run passes.
 reconfigsmoke:
-	$(GO) test -count=50 -run 'UnderLoad|DuringReconfig|AsyncAdaptiveEndToEnd' ./internal/dist/
+	$(GO) test -count=50 -run 'UnderLoad|UnderFaulty|DuringReconfig|AsyncAdaptiveEndToEnd' ./internal/dist/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -31,8 +31,8 @@ go test ./...
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/obs/... ./internal/match/... ./internal/adapt/... ./internal/launch/... .
 
-echo "== reconfiguration smoke (split/merge-under-load tests, 50 runs each) =="
-go test -count=50 -run 'UnderLoad|DuringReconfig|AsyncAdaptiveEndToEnd' ./internal/dist/
+echo "== reconfiguration smoke (split/merge-under-load and faulty-fabric tests, 50 runs each) =="
+go test -count=50 -run 'UnderLoad|UnderFaulty|DuringReconfig|AsyncAdaptiveEndToEnd' ./internal/dist/
 
 echo "== benchmark smoke (1 iteration each) =="
 go test -bench . -benchtime 1x -run '^$' ./...

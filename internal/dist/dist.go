@@ -26,19 +26,20 @@
 //
 // Every cross-component interaction is a message on an internal/transport
 // fabric: token hops are "arrive" RPCs, and the freeze protocol's freeze /
-// total / kill / thaw exchanges are control RPCs. On the default ideal
-// in-memory fabric this is exactly as deterministic as direct calls; built
-// over transport.Faulty, every one of those messages can be delayed, lost,
+// total / thaw exchanges are control RPCs. On the default ideal in-memory
+// fabric this is exactly as deterministic as direct calls; built over
+// transport.Faulty, every one of those messages can be delayed, lost,
 // duplicated or reordered, and the retry + at-most-once layer must keep
 // counting exact (experiment E24).
 //
-// Each component incarnation binds its own transport address ("c:<path>#
-// <generation>"), and dead incarnations stay bound: a straggling retry of
-// a message that the dead incarnation already executed is answered from
-// its dedup cache instead of leaking into a successor component, which is
-// what preserves exactly-once effects across reconfigurations. Tokens
-// refused by replaced components are re-resolved against the current cut:
-// descending through input maps after a split, ascending through the
+// A component is named by its path in T_w, as in the paper's DHT (Section
+// 3): a path binds its one address, "c:<path>", the first time it becomes
+// live. The endpoint serves whichever incarnation the current topology
+// snapshot holds at the path and answers arrives with StatusDead while none
+// does; its one dedup table answers a straggling retry whichever
+// incarnation executed the original, which keeps effects exactly-once
+// across reconfigurations. Refused tokens re-resolve against the current
+// cut: descending through input maps after a split, ascending through the
 // entry-child inverse after a merge.
 //
 // Compared to internal/core (the metered structural simulator), this
@@ -67,13 +68,12 @@ import (
 	"repro/internal/wire"
 )
 
-// compState is the lifecycle of a live component.
+// compState is the lifecycle of a component; a replaced one stays frozen.
 type compState uint8
 
 const (
 	stateActive compState = iota + 1
 	stateFrozen
-	stateDead
 )
 
 // The message kinds and payload types on the component endpoints are owned
@@ -86,7 +86,6 @@ const (
 	kindGroupArrive = wire.KindGroupArrive // batched token delivery, one RPC per component visit
 	kindFreeze      = wire.KindFreeze      // control: refuse tokens, snapshot state
 	kindTotal       = wire.KindTotal       // control: report the processed-token total
-	kindKill        = wire.KindKill        // control: mark a replaced incarnation dead
 	kindThaw        = wire.KindThaw        // control: reactivate an abandoned freeze
 )
 
@@ -126,7 +125,9 @@ type Cluster struct {
 	tr transport.Transport
 	rc *transport.Client
 
-	gen atomic.Uint64 // component incarnation counter (address suffix)
+	// bound holds the paths that have an endpoint. Only New and the
+	// reconfigurations (serialized by reconfig) bind, so it needs no lock.
+	bound map[tree.Path]bool
 
 	// Observability handles (nil when uninstrumented). Instrument and
 	// Trace must be called before traffic or reconfigurations start; the
@@ -157,8 +158,8 @@ type Cluster struct {
 	// Tokens resolve against whatever snapshot is current when they look —
 	// no read lock, no blocking on an in-flight Split/Merge.
 	// Reconfigurations (serialized by reconfig) publish replacements; a
-	// token that a frozen or dead incarnation refused waits on its
-	// snapshot's changed channel and re-resolves against the next one.
+	// refused token waits on its snapshot's changed channel and re-resolves
+	// against the next one.
 	topo atomic.Pointer[topology]
 
 	out      []atomic.Uint64 // per-output-wire emission counters
@@ -197,6 +198,7 @@ func New(w int, cut tree.Cut, opts ...Option) (*Cluster, error) {
 		w:        w,
 		tr:       tr,
 		rc:       transport.NewClient(tr, o.retry),
+		bound:    make(map[tree.Path]bool, len(cut)),
 		drainCh:  make(chan struct{}, 1),
 		out:      make([]atomic.Uint64, w),
 		injected: make([]atomic.Uint64, w),
@@ -233,17 +235,22 @@ func NewRootOnly(w int) (*Cluster, error) {
 	return New(w, tree.RootCut())
 }
 
-// bind gives a fresh incarnation its own endpoint. Dead incarnations stay
-// bound for the cluster's lifetime so straggling retries are answered from
-// their dedup state rather than reaching a successor incarnation.
+// bind readies a fresh incarnation and binds its path's endpoint the first
+// time the path becomes live. The endpoint outlives every incarnation and
+// serves whichever one the current snapshot holds at the path.
 func (cl *Cluster) bind(cm *comp) error {
-	cm.addr = transport.Addr(fmt.Sprintf("c:%s#%d", cm.c.Path, cl.gen.Add(1)))
+	p := cm.c.Path
+	cm.addr = transport.Addr("c:" + p)
 	cm.resProcessed = make([]any, cm.c.Width)
 	for out := range cm.resProcessed {
 		cm.resProcessed[out] = wire.ArriveRes{Status: wire.StatusProcessed, Out: out}
 	}
+	if cl.bound[p] {
+		return nil
+	}
+	cl.bound[p] = true
 	return cl.tr.Bind(cm.addr, func(req transport.Request) (any, error) {
-		return cl.compRPC(cm, req)
+		return cl.compRPC(cl.topo.Load().comps[p], req)
 	})
 }
 
@@ -253,8 +260,15 @@ var (
 	resFrozen any = wire.ArriveRes{Status: wire.StatusFrozen}
 )
 
-// compRPC serves one component endpoint.
+// compRPC serves one component endpoint for its live incarnation cm, nil
+// when no incarnation holds the path.
 func (cl *Cluster) compRPC(cm *comp, req transport.Request) (any, error) {
+	if cm == nil {
+		if req.Kind == kindArrive || req.Kind == kindGroupArrive {
+			return resDead, nil
+		}
+		return nil, fmt.Errorf("dist: %s: no live component at %q", req.Kind, req.To)
+	}
 	switch req.Kind {
 	case kindArrive, kindGroupArrive:
 		// A group arrive is the batched hop: one RPC delivers a whole
@@ -283,9 +297,6 @@ func (cl *Cluster) compRPC(cm *comp, req transport.Request) (any, error) {
 	case kindFreeze:
 		cm.mu.Lock()
 		defer cm.mu.Unlock()
-		if cm.state == stateDead {
-			return nil, fmt.Errorf("dist: freeze: %v is dead", cm.c)
-		}
 		cm.state = stateFrozen
 		return wire.FreezeRes{Total: cm.total, Processed: slices.Clone(cm.arrived)}, nil
 	case kindTotal:
@@ -295,15 +306,7 @@ func (cl *Cluster) compRPC(cm *comp, req transport.Request) (any, error) {
 	case kindThaw:
 		cm.mu.Lock()
 		defer cm.mu.Unlock()
-		if cm.state == stateDead {
-			return nil, fmt.Errorf("dist: thaw: %v is dead", cm.c)
-		}
 		cm.state = stateActive
-		return nil, nil
-	case kindKill:
-		cm.mu.Lock()
-		cm.state = stateDead
-		cm.mu.Unlock()
 		return nil, nil
 	default:
 		return nil, fmt.Errorf("dist: unknown RPC kind %q", req.Kind)
@@ -313,15 +316,11 @@ func (cl *Cluster) compRPC(cm *comp, req transport.Request) (any, error) {
 // arrive routes tokens arriving on wires through cm in arrival order under
 // one lock acquisition. Processed, the reply's Out is the first token's
 // output wire, and token i leaves on (Out+i) mod the component's width. A
-// frozen or dead incarnation refuses the whole group and records nothing,
-// so a frozen component's arrival history is exactly what it processed.
+// frozen incarnation refuses the whole group and records nothing, so a
+// frozen component's arrival history is exactly what it processed.
 func (cl *Cluster) arrive(cm *comp, wires []int) any {
 	cm.mu.Lock()
-	switch cm.state {
-	case stateDead:
-		cm.mu.Unlock()
-		return resDead
-	case stateFrozen:
+	if cm.state == stateFrozen {
 		cm.mu.Unlock()
 		return resFrozen
 	}
@@ -693,8 +692,8 @@ func refusedEvent(s wire.Status) string {
 // route carries one validated and counted token from network input wire
 // in to its exit. Every hop is an arrive RPC. A refused token re-resolves
 // from the refusing component once the snapshot it resolved against has
-// been replaced: at once for a dead incarnation, whose replacement was
-// published before the kill; after the commit or thaw for a frozen one.
+// been replaced: at once when its path is no longer live, after the commit
+// or thaw when its incarnation is frozen.
 func (cl *Cluster) route(in int) (int, error) {
 	sp := cl.tracer.Start("token")
 	var begin time.Time
@@ -845,8 +844,9 @@ func (cl *Cluster) CheckStep() error {
 
 // ctl issues one control RPC from the reconfiguration coordinator. The
 // span (nil when the reconfiguration is unsampled) propagates so the
-// receiving fabric's freeze/total/kill spans stitch to the
-// reconfiguration's trace.
+// receiving fabric's freeze/total/thaw spans stitch to the
+// reconfiguration's trace. Reconfigurations are serialized, so cm is the
+// incarnation its path's endpoint serves.
 func (cl *Cluster) ctl(cm *comp, kind string, sp *obs.Span) (any, error) {
 	reply, err := cl.rc.CallSpan("ctl", cm.addr, kind, nil, sp)
 	if err != nil {
@@ -857,9 +857,9 @@ func (cl *Cluster) ctl(cm *comp, kind string, sp *obs.Span) (any, error) {
 
 // Split replaces the component at path p by its children while traffic
 // flows: freeze (a control RPC returning the frozen per-wire history),
-// initialize the children from it, publish them, and kill the old
-// incarnation. A history on which the children would not continue the
-// component's output is abandoned and retried (see abandon).
+// initialize the children from it and publish them in its place. A
+// history on which the children would not continue the component's output
+// is abandoned and retried (see abandon).
 func (cl *Cluster) Split(p tree.Path) error {
 	cl.reconfig.Lock()
 	defer cl.reconfig.Unlock()
@@ -932,12 +932,6 @@ func (cl *Cluster) Split(p tree.Path) error {
 	})
 	if sp != nil {
 		sp.Event("publish", string(p), int64(len(children)))
-	}
-	if _, err := cl.ctl(cm, kindKill, sp); err != nil {
-		return err
-	}
-	if sp != nil {
-		sp.Event("kill", string(p), 0)
 	}
 	cl.hSplit.Since(begin)
 	return nil
@@ -1066,15 +1060,6 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 	})
 	if sp != nil {
 		sp.Event("publish", string(p), int64(len(children)))
-	}
-	// Phase 5: kill the children.
-	for _, cm := range cms {
-		if _, err := cl.ctl(cm, kindKill, sp); err != nil {
-			return err
-		}
-		if sp != nil {
-			sp.Event("kill", string(cm.c.Path), 0)
-		}
 	}
 	cl.hMerge.Since(begin)
 	return nil

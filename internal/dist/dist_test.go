@@ -359,23 +359,85 @@ func TestFindLiveDescendsAfterSplit(t *testing.T) {
 	}
 }
 
-// TestArriveOnDeadComponent: an arrive RPC at a dead incarnation is
-// answered with statusDead so the sender re-resolves.
+// TestArriveOnDeadComponent: an arrive at a path that no live incarnation
+// holds is answered with StatusDead so the sender re-resolves, and a
+// control RPC there is an error.
 func TestArriveOnDeadComponent(t *testing.T) {
 	cl, err := NewRootOnly(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := &comp{c: tree.MustRoot(4), state: stateDead, arrived: make([]uint64, 4)}
-	reply, err := cl.compRPC(cm, transport.Request{Kind: kindArrive, Body: wire.Arrive{Wire: 0}})
+	if err := cl.Split(""); err != nil {
+		t.Fatal(err)
+	}
+	root := transport.Addr("c:")
+	for _, tc := range []struct {
+		kind string
+		body any
+	}{{kindArrive, wire.Arrive{Wire: 0}}, {kindGroupArrive, wire.GroupArrive{Wires: []int{0, 3}}}} {
+		reply, err := cl.rc.Call(injector, root, tc.kind, tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := reply.(wire.ArriveRes); res.Status != wire.StatusDead {
+			t.Fatalf("%s: status = %v, want StatusDead", tc.kind, res.Status)
+		}
+	}
+	for _, cm := range cl.topo.Load().comps {
+		if cm.total != 0 {
+			t.Fatalf("refused arrive recorded at %v: %+v", cm.c, cm)
+		}
+	}
+	if _, err := cl.rc.Call("ctl", root, kindFreeze, nil); err == nil {
+		t.Fatal("freeze at a path with no live incarnation succeeded")
+	}
+}
+
+// TestRetryAcrossIncarnationsAtMostOnce: a retry of an arrive that one
+// incarnation executed, reaching the path after a Split/Merge cycle has put
+// a new incarnation there, is answered from the path's dedup table with
+// the original reply and leaves the new incarnation's count untouched.
+func TestRetryAcrossIncarnationsAtMostOnce(t *testing.T) {
+	w := 8
+	mem := transport.NewMem()
+	mem.EnableDedup()
+	cut, err := tree.UniformCut(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := reply.(wire.ArriveRes); res.Status != wire.StatusDead {
-		t.Fatalf("status = %v, want statusDead", res.Status)
+	cl, err := New(w, cut, WithTransport(mem))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cm.arrived[0] != 0 {
-		t.Fatal("dead component recorded an arrival")
+	req := transport.Request{ID: 1 << 40, From: injector, To: "c:0", Kind: kindArrive, Body: wire.Arrive{Wire: 1}}
+	first, err := mem.Send(req, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := first.(wire.ArriveRes); res.Status != wire.StatusProcessed {
+		t.Fatalf("first delivery: %+v", res)
+	}
+	old := cl.topo.Load().comps["0"]
+	if err := cl.Split("0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Merge("0"); err != nil {
+		t.Fatal(err)
+	}
+	cm := cl.topo.Load().comps["0"]
+	if cm == old {
+		t.Fatal("Split+Merge left the same incarnation at path 0")
+	}
+	total := cm.total
+	again, err := mem.Send(req, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Fatalf("retry reply %+v, want the original %+v", again, first)
+	}
+	if cm.total != total {
+		t.Fatalf("retry moved the new incarnation's total %d -> %d", total, cm.total)
 	}
 }
 

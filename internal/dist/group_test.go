@@ -124,8 +124,8 @@ func TestGroupBatchOneRPCPerComponentVisit(t *testing.T) {
 	}
 }
 
-// TestGroupArriveHandlerStates pins the group handler's three component
-// states: a dead incarnation answers StatusDead and a frozen one
+// TestGroupArriveHandlerStates pins the group handler's three outcomes: a
+// path with no live incarnation answers StatusDead and a frozen incarnation
 // StatusFrozen, both refusing the WHOLE group without recording an
 // arrival, and an active one routes the group in arrival order.
 func TestGroupArriveHandlerStates(t *testing.T) {
@@ -135,26 +135,28 @@ func TestGroupArriveHandlerStates(t *testing.T) {
 	}
 	group := wire.GroupArrive{Wires: []int{0, 2, 2}}
 
-	for _, tc := range []struct {
-		state compState
-		want  wire.Status
-	}{{stateDead, wire.StatusDead}, {stateFrozen, wire.StatusFrozen}} {
-		cm := newTestComp(t, cl, tc.state)
-		reply, err := cl.compRPC(cm, transport.Request{Kind: kindGroupArrive, Body: group})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := reply.(wire.ArriveRes); res.Status != tc.want {
-			t.Fatalf("state %d: status = %v, want %v", tc.state, res.Status, tc.want)
-		}
-		if cm.arrived[0] != 0 || cm.arrived[2] != 0 || cm.total != 0 {
-			t.Fatalf("state %d: refused group recorded: %+v", tc.state, cm)
-		}
+	reply, err := cl.compRPC(nil, transport.Request{Kind: kindGroupArrive, Body: group})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := reply.(wire.ArriveRes); res.Status != wire.StatusDead {
+		t.Fatalf("no live incarnation: status = %v, want StatusDead", res.Status)
+	}
+	frozen := newTestComp(t, cl, stateFrozen)
+	reply, err = cl.compRPC(frozen, transport.Request{Kind: kindGroupArrive, Body: group})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := reply.(wire.ArriveRes); res.Status != wire.StatusFrozen {
+		t.Fatalf("frozen: status = %v, want StatusFrozen", res.Status)
+	}
+	if frozen.arrived[0] != 0 || frozen.arrived[2] != 0 || frozen.total != 0 {
+		t.Fatalf("frozen: refused group recorded: %+v", frozen)
 	}
 
 	active := newTestComp(t, cl, stateActive)
 	active.total = 2
-	reply, err := cl.compRPC(active, transport.Request{Kind: kindGroupArrive, Body: group})
+	reply, err = cl.compRPC(active, transport.Request{Kind: kindGroupArrive, Body: group})
 	if err != nil {
 		t.Fatal(err)
 	}

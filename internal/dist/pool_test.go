@@ -169,6 +169,47 @@ func TestInjectBindsNoEndpoints(t *testing.T) {
 	}
 }
 
+// TestReconfigRebindsNoEndpoints: a component is addressed by its path, so
+// once a Split/Merge cycle has bound the children's paths, repeating the
+// cycle binds nothing more, however many incarnations it creates.
+func TestReconfigRebindsNoEndpoints(t *testing.T) {
+	w := 16
+	tr := &bindCounter{Transport: transport.NewMem()}
+	cut, err := tree.UniformCut(w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := New(w, cut, WithTransport(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := make([]int, 4*w)
+	for i := range ins {
+		ins[i] = i % w
+	}
+	afterFirst := 0
+	for cycle := 0; cycle < 20; cycle++ {
+		for _, step := range []func() error{
+			func() error { _, err := cl.InjectBatch(ins); return err },
+			func() error { return cl.Split("0") },
+			func() error { _, err := cl.InjectBatch(ins); return err },
+			func() error { return cl.Merge("0") },
+		} {
+			if err := step(); err != nil {
+				t.Fatalf("cycle %d: %v", cycle, err)
+			}
+		}
+		if cycle == 0 {
+			afterFirst = tr.binds
+		} else if tr.binds != afterFirst {
+			t.Fatalf("cycle %d bound %d more endpoints", cycle, tr.binds-afterFirst)
+		}
+	}
+	if err := cl.CheckStep(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestInjectBatchValidatesUpfront: a bad wire anywhere in the batch rejects
 // the whole batch before any token is injected or counted — the seq range
 // and injected counters are only touched by all-valid batches.

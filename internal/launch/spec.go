@@ -3,17 +3,16 @@
 // own tcpnet fabric — and wires them together with address-prefix routes.
 //
 // The model: every worker builds the *identical* full cluster on its own
-// fabric (tree.Cut.Components iterates in sorted order and partitioned
-// runs never reconfigure, so component addresses "c:<path>#<gen>" agree
-// across processes byte for byte). Each worker owns a subset of the cut;
-// for every component it does not own it installs a Route sending that
-// component's address prefix to the owner's listener, so its local copy
-// is shadowed and the owner's copy is the single authority. Tokens need no
-// addresses: every token RPC's reply returns on the call itself, so no
-// cross-process message ever targets an injector. Each partition's retry
-// client draws request IDs from a disjoint range
-// (transport.RetryConfig.IDBase) so receiver dedup tables never alias
-// calls from different processes.
+// fabric (a component's address is "c:<path>", so addresses agree across
+// processes byte for byte, and partitioned runs never reconfigure). Each
+// worker owns a subset of the cut; for every component it does not own it
+// installs a Route sending that component's address to the owner's
+// listener, so its local copy is shadowed and the owner's copy is the
+// single authority. Tokens need no addresses: every token RPC's reply
+// returns on the call itself, so no cross-process message ever targets an
+// injector. Each partition's retry client draws request IDs from a
+// disjoint range (transport.RetryConfig.IDBase) so receiver dedup tables
+// never alias calls from different processes.
 //
 // A coordinator process reads the same Spec, bootstraps the workers
 // (readiness handshake, graceful shutdown), drives the workload over a

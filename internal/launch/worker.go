@@ -274,10 +274,10 @@ func (w *Worker) wirePeers(peers map[string]string) error {
 			return fmt.Errorf("launch: wire: no address for partition %q", p.Name)
 		}
 		for _, comp := range p.Components {
-			// "c:<path>#" captures every incarnation of the component;
-			// the cut is an antichain, so no owned path is a string
-			// prefix of another and the route set is unambiguous.
-			if err := w.Net.Route("c:"+comp+"#", addr); err != nil {
+			// "c:<path>" is the component's one address; the cut is an
+			// antichain, so no cut member's path is a string prefix of
+			// another's and no route captures a second member.
+			if err := w.Net.Route("c:"+comp, addr); err != nil {
 				return err
 			}
 		}

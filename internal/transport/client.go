@@ -103,7 +103,7 @@ type Client struct {
 // clientInstruments bundles the client's obs handles so they install
 // atomically.
 type clientInstruments struct {
-	rtt      *obs.Hist // per-logical-call wall seconds (including retries)
+	rtt      *obs.Hist // per-logical-call wall seconds, retries and failed calls included
 	backoff  *obs.Hist // backoff sleeps before retries, seconds
 	attempts *obs.Hist // attempts per call (1 = first try succeeded)
 }
@@ -172,6 +172,7 @@ func (c *Client) CallSpan(from, to Addr, kind string, body any, sp *obs.Span) (a
 		if attempt >= c.cfg.MaxRetries {
 			c.failures.Add(1)
 			ins.attempts.Observe(float64(attempt + 1))
+			ins.rtt.Since(start)
 			return nil, fmt.Errorf("transport: call %q to %q failed after %d attempts: %w",
 				kind, to, attempt+1, err)
 		}

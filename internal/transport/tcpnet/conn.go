@@ -507,50 +507,18 @@ func (n *Net) buildReply(t srvTask) (of outFrame, ok bool) {
 	return outFrame{enc: enc, b: frame}, true
 }
 
-// dispatch executes a request against the local endpoint table, applying
-// receiver-side dedup when enabled.
+// dispatch executes a request against the local endpoint table and maps
+// the outcome to a reply status. The server-side span, if any, ends inside
+// Dispatch, before the reply frame is written.
 func (n *Net) dispatch(req transport.Request) (wire.ReplyStatus, any, string) {
-	n.mu.RLock()
-	ep := n.eps[req.To]
-	n.mu.RUnlock()
-	if ep == nil {
+	reply, err, bound := n.Dispatch(req)
+	switch {
+	case !bound:
 		return wire.ReplyUnreachable, nil, string(req.To)
-	}
-	var reply any
-	var err error
-	if tbl := ep.dedup.Load(); tbl != nil {
-		var hit bool
-		reply, err, hit = tbl.Do(req.ID, func() (any, error) { return n.runHandler(ep, req) })
-		if hit {
-			n.dedupHits.Add(1)
-		}
-	} else {
-		// No dedup: call the handler directly, without the closure the
-		// dedup path needs — the unsampled undeduped request path must not
-		// allocate.
-		reply, err = n.runHandler(ep, req)
-	}
-	if err != nil {
+	case err != nil:
 		return wire.ReplyAppError, nil, err.Error()
 	}
 	return wire.ReplyOK, reply, ""
-}
-
-// runHandler invokes an endpoint's handler under the RPC observer, when
-// one is installed.
-func (n *Net) runHandler(ep *endpoint, req transport.Request) (any, error) {
-	n.delivered.Add(1)
-	o := n.rpc.Load()
-	if o == nil {
-		return ep.h(req)
-	}
-	// The child span ends (and lands in the tracer ring) before the
-	// reply frame is written, so once a caller's Send returns, every
-	// server-side span of that call is already retained.
-	sp, start := o.Begin(req.Kind, req.Trace)
-	reply, err := ep.h(req)
-	o.End(req.Kind, string(req.To), sp, start, err)
-	return reply, err
 }
 
 // acceptLoop serves inbound connections until the listener closes.

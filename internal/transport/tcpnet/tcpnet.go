@@ -21,10 +21,10 @@
 //     unresolvable or undialable destination is ErrUnreachable (not
 //     retried; the caller re-resolves), and a handler-side "no endpoint
 //     bound" reply is ErrUnreachable too, exactly like the memory switch.
-//   - Receiver-side dedup is the same bounded DedupTable the memory switch
-//     uses, keyed per endpoint, so retries and wire-level duplicates keep
-//     handler effects at-most-once (the E24 exactness property) over a
-//     real socket.
+//   - The endpoint table is the transport.Endpoints the memory switch
+//     embeds too, with the same bounded per-endpoint DedupTable, so
+//     retries and wire-level duplicates keep handler effects at-most-once
+//     (the E24 exactness property) over a real socket.
 //   - Close is graceful: the listener stops accepting, in-flight handlers
 //     run to completion and their replies are flushed before connections
 //     die; only then do pending callers see errors.
@@ -103,12 +103,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// endpoint is one bound address on the receiving side.
-type endpoint struct {
-	h     transport.Handler
-	dedup atomic.Pointer[transport.DedupTable] // nil until dedup enabled
-}
-
 // WireStats are the byte- and connection-level counters a socket fabric
 // has and the memory switch does not.
 type WireStats struct {
@@ -127,16 +121,14 @@ type WireStats struct {
 	QueueDepth int64
 }
 
-// Net is a TCP fabric. It implements transport.Transport and
-// transport.Deduper.
+// Net is a TCP fabric. It implements transport.Transport, and
+// transport.Deduper through its embedded endpoint table.
 type Net struct {
+	transport.Endpoints
+
 	cfg  Config
 	ln   net.Listener
 	addr string
-
-	mu    sync.RWMutex
-	eps   map[transport.Addr]*endpoint
-	dedup bool
 
 	routeMu   sync.RWMutex
 	routes    []route // longest-prefix destination routes
@@ -166,8 +158,6 @@ type Net struct {
 	work chan srvTask
 
 	sent      atomic.Uint64
-	delivered atomic.Uint64
-	dedupHits atomic.Uint64
 	bytesIn   atomic.Uint64
 	bytesOut  atomic.Uint64
 	dials     atomic.Uint64
@@ -182,12 +172,6 @@ type Net struct {
 	// accept and read loops are already running by then). All handles are
 	// nil until instrumented; obs instruments no-op on nil receivers.
 	instr atomic.Pointer[instruments]
-
-	// rpc observes server-side handler execution — per-kind latency
-	// histograms, child spans stitched to the wire-propagated trace
-	// context, slow-RPC log, flight recorder. Swapped atomically by
-	// InstrumentRPC; nil when uninstrumented.
-	rpc atomic.Pointer[obs.RPCObs]
 }
 
 // instruments bundles the obs handles so they install atomically.
@@ -229,7 +213,6 @@ func New(cfg Config) (*Net, error) {
 		cfg:     cfg,
 		ln:      ln,
 		addr:    ln.Addr().String(),
-		eps:     make(map[transport.Addr]*endpoint),
 		pools:   make(map[string]*pool),
 		closeCh: make(chan struct{}),
 		work:    make(chan srvTask, cfg.HandlerQueue),
@@ -249,7 +232,7 @@ func (n *Net) Addr() string { return n.addr }
 
 // Route sends destination addresses with the given prefix to the fabric
 // listening at hostport (its Addr). When several prefixes match an
-// address the longest one wins, so "c:0110#" beats "c:0" regardless of
+// address the longest one wins, so "c:0110" beats "c:0" regardless of
 // insertion order; unmatched addresses are served by this Net's own
 // listener (or the RouteDefault target). The prefix must be non-empty —
 // use RouteDefault to rewire the fallback — and hostport must parse as
@@ -353,56 +336,11 @@ func (n *Net) Instrument(reg *obs.Registry) {
 	})
 }
 
-// InstrumentRPC installs server-side RPC observation on this fabric's
-// dispatch path: handler latency per message kind, child spans for
-// sampled wire-propagated trace contexts, and the observer's slow-RPC /
-// flight-recorder policies. Passing nil uninstalls. Safe to call while
-// traffic flows.
-func (n *Net) InstrumentRPC(o *obs.RPCObs) {
-	n.rpc.Store(o)
-}
-
 // CanRedeliver implements transport.Redeliverer: a call that misses its
 // reply deadline over a real socket may still have been delivered and
 // executed, so retries over this fabric re-execute handlers unless dedup
 // is on.
 func (n *Net) CanRedeliver() bool { return true }
-
-// EnableDedup implements transport.Deduper: every current and future
-// endpoint gets a bounded at-most-once call cache.
-func (n *Net) EnableDedup() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.dedup = true
-	for _, ep := range n.eps {
-		ep.dedup.CompareAndSwap(nil, transport.NewDedupTable(0))
-	}
-}
-
-// Bind implements transport.Transport.
-func (n *Net) Bind(a transport.Addr, h transport.Handler) error {
-	if h == nil {
-		return fmt.Errorf("tcpnet: nil handler for %q", a)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, ok := n.eps[a]; ok {
-		return fmt.Errorf("tcpnet: address %q already bound", a)
-	}
-	ep := &endpoint{h: h}
-	if n.dedup {
-		ep.dedup.Store(transport.NewDedupTable(0))
-	}
-	n.eps[a] = ep
-	return nil
-}
-
-// Unbind implements transport.Transport.
-func (n *Net) Unbind(a transport.Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.eps, a)
-}
 
 // Send implements transport.Transport: encode the request with the wire
 // codec, ship it over a pooled connection to the destination fabric, and
@@ -532,11 +470,9 @@ func putTimer(t *time.Timer) {
 
 // Stats implements transport.Transport.
 func (n *Net) Stats() transport.Stats {
-	return transport.Stats{
-		Sent:      n.sent.Load(),
-		Delivered: n.delivered.Load(),
-		DedupHits: n.dedupHits.Load(),
-	}
+	s := n.Endpoints.Stats()
+	s.Sent = n.sent.Load()
+	return s
 }
 
 // WireStats returns the socket-level counters.
@@ -592,20 +528,6 @@ func (n *Net) PoolStats() PoolStats {
 		p.mu.Unlock()
 	}
 	return ps
-}
-
-// DedupEntries returns the cached at-most-once calls across all bound
-// endpoints (the quantity the retirement bound keeps flat).
-func (n *Net) DedupEntries() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	total := 0
-	for _, ep := range n.eps {
-		if tbl := ep.dedup.Load(); tbl != nil {
-			total += tbl.Len()
-		}
-	}
-	return total
 }
 
 // Close shuts the fabric down gracefully: stop accepting, let in-flight

@@ -59,7 +59,7 @@ func TestTypedPayloads(t *testing.T) {
 	n := newNet(t)
 	arrive := wire.Arrive{Wire: 3}
 	group := wire.GroupArrive{Wires: []int{0, 5, 2}}
-	if err := n.Bind("c:x#1", func(req transport.Request) (any, error) {
+	if err := n.Bind("c:x", func(req transport.Request) (any, error) {
 		switch req.Kind {
 		case wire.KindArrive:
 			if req.Body.(wire.Arrive) != arrive {
@@ -76,9 +76,9 @@ func TestTypedPayloads(t *testing.T) {
 			return wire.FreezeRes{Total: 10, Processed: []uint64{4, 6}}, nil
 		case wire.KindTotal:
 			return uint64(10), nil
-		case wire.KindKill, wire.KindThaw:
+		case wire.KindThaw:
 			if req.Body != nil {
-				return nil, fmt.Errorf("%s body %+v", req.Kind, req.Body)
+				return nil, fmt.Errorf("thaw body %+v", req.Body)
 			}
 			return nil, nil
 		}
@@ -89,7 +89,7 @@ func TestTypedPayloads(t *testing.T) {
 
 	send := func(kind string, body any) any {
 		t.Helper()
-		reply, err := n.Send(transport.Request{ID: nextID(), To: "c:x#1", Kind: kind, Body: body}, time.Second)
+		reply, err := n.Send(transport.Request{ID: nextID(), To: "c:x", Kind: kind, Body: body}, time.Second)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -108,10 +108,8 @@ func TestTypedPayloads(t *testing.T) {
 	if v := send(wire.KindTotal, nil).(uint64); v != 10 {
 		t.Fatalf("total reply %v", v)
 	}
-	for _, kind := range []string{wire.KindKill, wire.KindThaw} {
-		if v := send(kind, nil); v != nil {
-			t.Fatalf("%s reply %v", kind, v)
-		}
+	if v := send(wire.KindThaw, nil); v != nil {
+		t.Fatalf("thaw reply %v", v)
 	}
 }
 

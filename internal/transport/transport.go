@@ -7,7 +7,8 @@
 //   - Net, a deterministic in-memory switch: endpoints bind handlers to
 //     addresses, Send delivers synchronously and reliably. This is the
 //     default fabric, so everything built on it stays exactly as
-//     reproducible as direct function calls.
+//     reproducible as direct function calls. Its endpoint table
+//     (Endpoints) is the one tcpnet embeds too.
 //   - Faulty, a fault-injection wrapper: seeded latency jitter, message
 //     drops (request and reply legs independently), duplication,
 //     reordering and pairwise partitions. A dropped leg surfaces as
@@ -32,7 +33,7 @@ import (
 )
 
 // Addr is a transport endpoint address. Conventional namespaces: "n:<id>"
-// for overlay nodes, "c:<path>" for live components; "inj" (token
+// for overlay nodes, "c:<path>" for components; "inj" (token
 // injectors) and "ctl" (reconfiguration coordinators) only send.
 type Addr string
 

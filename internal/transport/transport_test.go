@@ -323,6 +323,11 @@ func TestCallSpanRecordsRetries(t *testing.T) {
 	if att.Count != 1 || att.Mean != 3 {
 		t.Fatalf("attempts histogram = %+v, want one 3-attempt call", att)
 	}
+	// A failed call is the slowest call there is; the latency histogram
+	// must not hide it.
+	if got := snap.Histograms["transport.call.seconds"].Count; got != 1 {
+		t.Fatalf("call latency samples = %d, want 1 for the failed call", got)
+	}
 }
 
 // TestInstrumentedMemRPC: the memory switch runs handlers through an

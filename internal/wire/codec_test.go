@@ -92,7 +92,6 @@ var kindCases = []struct {
 	{KindGroupArrive, GroupArrive{Wires: []int{0, 5, -1}}, ArriveRes{Status: StatusProcessed, Out: 2}},
 	{KindFreeze, nil, FreezeRes{Total: 99, Processed: []uint64{0, 1, 1 << 33}}},
 	{KindTotal, nil, uint64(1<<64 - 1)},
-	{KindKill, nil, nil},
 	{KindCPF, uint64(0xdead), uint64(0xbeef)},
 	{KindProbe, uint64(41), uint64(42)},
 	{KindCtl, Blob(`{"op":"run","tokens":64}`), Blob(`{"ok":true}`)},
@@ -101,7 +100,7 @@ var kindCases = []struct {
 
 func TestRegistry(t *testing.T) {
 	want := []string{KindArrive, KindGroupArrive, KindFreeze, KindTotal,
-		KindKill, KindCPF, KindProbe, KindCtl, KindThaw}
+		KindCPF, KindProbe, KindCtl, KindThaw}
 	if got := Kinds(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Kinds() = %v, want %v", got, want)
 	}
@@ -124,12 +123,14 @@ func TestRegistry(t *testing.T) {
 	if _, ok := ByCode(200); ok {
 		t.Fatal("ByCode accepted code 200")
 	}
-	// The retired resume kind keeps its code unassigned.
-	if _, ok := ByCode(6); ok {
-		t.Fatal("ByCode accepted the retired resume code 6")
-	}
-	if _, ok := ByKind(KindResume); ok {
-		t.Fatal("ByKind accepted the retired resume kind")
+	// The retired kill and resume kinds keep their codes unassigned.
+	for code, kind := range map[byte]string{5: KindKill, 6: KindResume} {
+		if _, ok := ByCode(code); ok {
+			t.Fatalf("ByCode accepted the retired %s code %d", kind, code)
+		}
+		if _, ok := ByKind(kind); ok {
+			t.Fatalf("ByKind accepted the retired %s kind", kind)
+		}
 	}
 }
 
@@ -285,6 +286,14 @@ func TestCorruptFramesAreTyped(t *testing.T) {
 			e.Int(0)
 			return e.Bytes()
 		}(), ErrCorrupt},
+		{"reply for the retired kill code", func() []byte {
+			e := NewEncoder(8)
+			e.Byte(frameReply)
+			e.Uvarint(1)
+			e.Byte(byte(ReplyOK))
+			e.Byte(5) // retired KindKill code
+			return e.Bytes()
+		}(), ErrUnknownKind},
 		{"reply for the retired resume code", func() []byte {
 			e := NewEncoder(8)
 			e.Byte(frameReply)

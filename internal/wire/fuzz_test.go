@@ -76,17 +76,6 @@ func FuzzTotal(f *testing.F) {
 	})
 }
 
-// FuzzKill's n seeds the envelope's mux sequence and trace context: a
-// kill carries no body either way.
-func FuzzKill(f *testing.F) {
-	f.Add(0)
-	f.Add(-17)
-	f.Add(1 << 30)
-	f.Fuzz(func(t *testing.T, n int) {
-		roundTripEnvelopes(t, KindKill, uint64(uint(n)), nil, nil)
-	})
-}
-
 func FuzzCPF(f *testing.F) {
 	f.Add(uint64(0), uint64(0))
 	f.Add(uint64(0xdead), uint64(0xbeef))
@@ -141,6 +130,18 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), e.Bytes()...))
+	// Requests naming the retired kill and resume codes: a body-less thaw
+	// request ends with its kind code, so rewriting that byte gives a frame
+	// that is well formed except for the retired kind.
+	e.Reset()
+	if err := EncodeRequest(e, 5, transport.Request{ID: 6, From: "ctl", To: "c:b", Kind: KindThaw}); err != nil {
+		f.Fatal(err)
+	}
+	for _, code := range []byte{5, 6} {
+		b := append([]byte(nil), e.Bytes()...)
+		b[len(b)-1] = code
+		f.Add(b)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{frameRequest})
 	f.Add([]byte{frameReply, 0, 9})

@@ -22,9 +22,10 @@ const (
 	// KindTotal polls a component's processed-token total.
 	// Body: none. Reply: uint64.
 	KindTotal = "total"
-	// KindKill tells a frozen component it has been replaced: it answers
-	// every later arrive with StatusDead.
-	// Body: none. Reply: none.
+	// KindKill is retired. It named the message that marked a replaced
+	// component incarnation dead; components are now addressed by path, so
+	// an incarnation that leaves the topology needs no message. No codec
+	// serves it, and its wire code 5 stays unassigned.
 	KindKill = "kill"
 	// KindResume is retired. It named the message that released a token
 	// stored at a frozen component; frozen components now refuse tokens
@@ -60,8 +61,9 @@ const (
 	// refused the token(s) and recorded nothing. Re-resolve once the
 	// topology the sender resolved against has been replaced.
 	StatusFrozen Status = 2
-	// StatusDead: the component incarnation was replaced; re-resolve
-	// against the current cut and retry.
+	// StatusDead: no live component incarnation holds the addressed path
+	// (it was split or merged away); re-resolve against the current cut and
+	// retry.
 	StatusDead Status = 3
 )
 
@@ -293,15 +295,8 @@ var _ = register(&Codec{
 	DecodeRes: decUint64,
 })
 
-var _ = register(&Codec{
-	Code: 5, Kind: KindKill,
-	EncodeReq: encNone(KindKill),
-	DecodeReq: decNone,
-	EncodeRes: encNone(KindKill),
-	DecodeRes: decNone,
-})
-
-// Code 6 belonged to the retired KindResume and is never reassigned.
+// Codes 5 and 6 belonged to the retired KindKill and KindResume and are
+// never reassigned.
 
 var _ = register(&Codec{
 	Code: 7, Kind: KindCPF,
