@@ -3,9 +3,9 @@ GO ?= go
 # get a second pass under the race detector.
 RACE_PKGS = ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/obs/... ./internal/match/... ./internal/adapt/... ./internal/launch/... .
 
-.PHONY: check fmt vet build test race reconfigsmoke bench benchsmoke perfsmoke tracesmoke comparesmoke partsmoke bench-baseline bench-compare golden
+.PHONY: check fmt vet build test race reconfigsmoke bench benchsmoke perfsmoke perfbenchsmoke tracesmoke comparesmoke partsmoke bench-baseline bench-compare golden
 
-check: fmt vet build test race reconfigsmoke benchsmoke perfsmoke tracesmoke comparesmoke partsmoke
+check: fmt vet build test race reconfigsmoke benchsmoke perfsmoke perfbenchsmoke tracesmoke comparesmoke partsmoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -48,6 +48,12 @@ benchsmoke:
 # catches data races the correctness tests' schedules might miss.
 perfsmoke:
 	$(GO) test -race -bench 'TokenAdaptiveParallel|TokenAdaptiveBatch|TokenAdaptiveChurn|TokenDist|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$$' .
+
+# The repository benchmark (perfbench/) is a module of its own, so
+# `./...` above never builds it; vet and test it here so an API change in
+# the packages it drives (dist, tcpnet) cannot break it unnoticed.
+perfbenchsmoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Re-verify the newest checked-in pre/post baseline against itself (first
 # run vs last run): an edit that regresses the recorded post numbers — or

@@ -2,7 +2,8 @@
 # ci.sh — the repository's verification gate, equivalent to `make check`
 # for environments without make: formatting, vet, build, full tests, a
 # race-detector pass over the concurrent packages, 50 runs of the
-# split/merge-under-load tests, and a one-iteration benchmark smoke pass.
+# split/merge-under-load tests, a one-iteration benchmark smoke pass, and
+# vet + tests of the separate perfbench module.
 #
 # Perf regressions are gated separately (baselines take minutes, not
 # seconds): `make bench-baseline LABEL=x` records a run, and
@@ -39,6 +40,9 @@ go test -bench . -benchtime 1x -run '^$' ./...
 
 echo "== perf smoke (hot-path benchmarks under -race) =="
 go test -race -bench 'TokenAdaptiveParallel|TokenAdaptiveBatch|TokenAdaptiveChurn|TokenDist|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$' .
+
+echo "== perfbench smoke (the separate benchmark module: vet + tests) =="
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== compare smoke (checked-in pre/post baseline gates itself) =="
 go run ./cmd/acnbench -compare -maxregress 25 BENCH_9.json

@@ -81,14 +81,7 @@ func TestAdaptiveBatchMatchesSequential(t *testing.T) {
 	}
 	cut := mustCut(t, w, 2)
 
-	ref, err := New(w, cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.InjectBatchSeq(ins); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.OutCounts()
+	want := sequentialCounts(t, w, cut, ins)
 
 	for _, s := range sizes {
 		cl, err := New(w, cut)

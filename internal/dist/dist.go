@@ -22,7 +22,9 @@
 // every token and already holds it, so a frozen component refuses the token
 // instead and records nothing; the injector re-resolves the token once the
 // topology snapshot it resolved against has been replaced, by a commit or
-// by a thaw.
+// by a thaw. Inject and InjectBatch run one routing loop, which does this
+// for both: Inject is a batch of one token, sending a single-token arrive
+// at each component visit where a batch sends one group arrive.
 //
 // Every cross-component interaction is a message on an internal/transport
 // fabric: token hops are "arrive" RPCs, and the freeze protocol's freeze /
@@ -468,13 +470,15 @@ func (cl *Cluster) groupCap() int {
 }
 
 // Inject routes one token in from network input wire in, concurrently with
-// any other tokens and any reconfiguration, and returns the output wire.
+// any other tokens and any reconfiguration, and returns the output wire. It
+// is the routing loop run on a batch of one: every component visit is one
+// wire.Arrive RPC, and a sampled token records a "token" span.
 func (cl *Cluster) Inject(in int) (int, error) {
-	if in < 0 || in >= cl.w {
-		return 0, fmt.Errorf("dist: input wire %d out of range [0,%d)", in, cl.w)
+	ins, outs := [1]int{in}, [1]int{}
+	if err := cl.inject(ins[:], outs[:], false); err != nil {
+		return 0, err
 	}
-	cl.injected[in].Add(1)
-	return cl.route(in)
+	return outs[0], nil
 }
 
 // InjectBatch routes len(ins) tokens as a group: at every round, tokens
@@ -484,94 +488,159 @@ func (cl *Cluster) Inject(in int) (int, error) {
 // When a group-size cap is active (SetGroupLimit, or an adapt controller
 // installed with UseAdapt), a visit by more tokens than the cap is split
 // into ceil(n/cap) consecutive RPCs with identical counting output.
-// The counting output is byte-identical to routing the same tokens
-// sequentially (InjectBatchSeq): a component's per-output-wire counts
-// depend only on how many tokens arrived on each input wire, never on
-// their arrival interleaving, so delivering a group in one message is
-// count-for-count the same as delivering it one message at a time.
+// The counting output is the same as injecting the tokens one at a time
+// with Inject: a component's per-output-wire counts depend only on how
+// many tokens arrived on each input wire, never on their arrival
+// interleaving, so delivering a group in one message is count-for-count
+// the same as delivering it one message at a time.
 //
 // A group that a frozen component refuses parks on the channel of the
 // snapshot it was resolved against while its batchmates keep routing, and
 // re-enters the round loop once that snapshot has been replaced. Group
 // routing therefore reorders token *completion* within the batch, but
 // per-wire counts — the network's observable output — are unaffected. It
-// returns the output wire of each token.
+// returns the output wire of each token; a sampled batch records one
+// "batch" span.
 func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
-	if err := cl.checkInputs(ins); err != nil || len(ins) == 0 {
+	if len(ins) == 0 {
+		return nil, nil
+	}
+	outs := make([]int, len(ins))
+	if err := cl.inject(ins, outs, true); err != nil {
 		return nil, err
 	}
-	// One sampling decision per batch: a sampled batch's root span carries
-	// every group RPC of the batch, and its context rides each group
-	// arrive so receiving fabrics stitch server-side rpc:agroup spans to
-	// this one timeline.
-	sp := cl.tracer.Start("batch")
+	return outs, nil
+}
+
+// group is one round's tokens headed for the same live component: the
+// batch indexes of the tokens and the input wires they arrive on.
+type group struct {
+	cm    *comp
+	idxs  []int
+	wires []int
+}
+
+// parkedGroup is a refused group waiting for the snapshot it was resolved
+// against to be replaced.
+type parkedGroup struct {
+	changed <-chan struct{}
+	idxs    []int
+}
+
+// injectState is the reusable scratch of one inject call. Pooled so a warm
+// call allocates no routing state: the slices keep their capacity, and a
+// round reuses the previous rounds' groups with their buffers. None of it
+// goes into a message body: a fabric may still read a body after its call
+// returned (a delayed duplicate), so bodies never share reused memory.
+type injectState struct {
+	pos    []nextHop // pos[i] is token i's current network position
+	active []int     // tokens routable this round
+	groups []group   // this round's groups, in first-seen order
+	parked []parkedGroup
+}
+
+var injectPool = sync.Pool{New: func() any { return new(injectState) }}
+
+// groupFor returns this round's group headed for cm, opening one on first
+// sight. A round has few groups, so a linear scan beats a map.
+func (st *injectState) groupFor(cm *comp) *group {
+	for i := range st.groups {
+		if st.groups[i].cm == cm {
+			return &st.groups[i]
+		}
+	}
+	n := len(st.groups)
+	st.groups = slices.Grow(st.groups, 1)[:n+1]
+	g := &st.groups[n]
+	g.cm, g.idxs, g.wires = cm, g.idxs[:0], g.wires[:0]
+	return g
+}
+
+// inject is the one routing loop behind Inject and InjectBatch: it counts
+// the tokens ins in, routes them to their exits and writes token i's
+// output wire to outs[i]. Each round groups the routable tokens by the
+// live component covering their position in one snapshot and delivers
+// each group in arrive RPCs: one wire.GroupArrive per chunk when batch is
+// set, one wire.Arrive for Inject's single token. A refused group parks
+// and re-resolves from the refusing component once the snapshot it
+// resolved against has been replaced: at once when its path is no longer
+// live, after the commit or thaw when its incarnation is frozen.
+func (cl *Cluster) inject(ins, outs []int, batch bool) error {
+	if err := cl.checkInputs(ins); err != nil {
+		return err
+	}
+	// One sampling decision per call: a sampled call's root span carries
+	// every RPC it sends, and its context rides each arrive so receiving
+	// fabrics stitch server-side spans to this one timeline.
+	kind, span := kindArrive, "token"
+	if batch {
+		kind, span = kindGroupArrive, "batch"
+	}
+	sp := cl.tracer.Start(span)
 	defer sp.Finish()
-	sp.Event("inject", "", int64(len(ins)))
+	if batch {
+		sp.Event("inject", "", int64(len(ins)))
+	}
+	var begin time.Time
+	if cl.hTok != nil {
+		begin = time.Now()
+	}
 	// One injected-counter add per run of equal wires, all counted before
-	// the batch routes (count-then-route, as the sequential paths do).
+	// the tokens route.
 	for i := 0; i < len(ins); {
 		j := runEnd(ins, i)
 		cl.injected[ins[i]].Add(uint64(j - i))
 		i = j
 	}
 
-	outs := make([]int, len(ins))
-	// pos[i] is token i's current network position; tokens in `active` are
-	// routable now, tokens in `parked` wait for a snapshot to be replaced.
+	st := injectPool.Get().(*injectState)
+	defer injectPool.Put(st)
+	st.pos, st.active, st.groups, st.parked = st.pos[:0], st.active[:0], st.groups[:0], st.parked[:0]
+	root := tree.MustRoot(cl.w)
+	for i, in := range ins {
+		st.pos = append(st.pos, nextHop{c: root, wire: in})
+		st.active = append(st.active, i)
+	}
 	// Groups park in round order, so parked[0] holds the oldest snapshot,
 	// whose channel closes first.
-	root := tree.MustRoot(cl.w)
-	pos := make([]nextHop, len(ins))
-	active := make([]int, len(ins))
-	for i, in := range ins {
-		pos[i] = nextHop{c: root, wire: in}
-		active[i] = i
-	}
-	type parkedGroup struct {
-		changed <-chan struct{}
-		idxs    []int
-	}
-	var parked []parkedGroup
-
-	type group struct {
-		cm    *comp
-		idxs  []int
-		wires []int
-	}
-	for len(active) > 0 || len(parked) > 0 {
-		if len(active) == 0 {
-			<-parked[0].changed
+	for len(st.active) > 0 || len(st.parked) > 0 {
+		if len(st.active) == 0 {
+			var wait time.Time
+			if cl.hRefused != nil {
+				wait = time.Now()
+			}
+			<-st.parked[0].changed
+			cl.hRefused.Since(wait)
 		}
-		waiting := parked[:0]
-		for _, pg := range parked {
+		waiting := st.parked[:0]
+		for _, pg := range st.parked {
 			select {
 			case <-pg.changed:
-				active = append(active, pg.idxs...)
+				st.active = append(st.active, pg.idxs...)
 			default:
 				waiting = append(waiting, pg)
 			}
 		}
-		parked = waiting
-		// Group the routable tokens by the live component covering their
-		// position in one snapshot, in first-seen order.
+		st.parked = waiting
+
 		topo := cl.topo.Load()
-		var groups []*group
-		byComp := make(map[*comp]*group)
-		for _, idx := range active {
-			cm, rwire, err := cl.findLive(topo, pos[idx].c, pos[idx].wire)
+		// The round's group bodies share one fresh buffer, filled in send
+		// order; it has room for every routable token, so it never moves.
+		var sent []int
+		if batch {
+			sent = make([]int, 0, len(st.active))
+		}
+		st.groups = st.groups[:0]
+		for _, idx := range st.active {
+			cm, rwire, err := cl.findLive(topo, st.pos[idx].c, st.pos[idx].wire)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			g := byComp[cm]
-			if g == nil {
-				g = &group{cm: cm}
-				byComp[cm] = g
-				groups = append(groups, g)
-			}
+			g := st.groupFor(cm)
 			g.idxs = append(g.idxs, idx)
 			g.wires = append(g.wires, rwire)
 		}
-		active = active[:0]
+		st.active = st.active[:0]
 		// One cap read per round: the adapt controller (or an explicit
 		// SetGroupLimit) bounds how many tokens each group arrive RPC
 		// carries, so a component visit by more tokens than the cap costs
@@ -579,7 +648,9 @@ func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 		// group (per-wire counts depend only on arrival counts), so the
 		// cap changes RPC accounting and wire pressure, never outputs.
 		limit := cl.groupCap()
-		for _, g := range groups {
+		for gi := range st.groups {
+			g := &st.groups[gi]
+			c := g.cm.c
 			for off := 0; off < len(g.idxs); {
 				end := len(g.idxs)
 				if limit > 0 && end-off > limit {
@@ -587,78 +658,72 @@ func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 				}
 				idxs, wires := g.idxs[off:end], g.wires[off:end]
 				off = end
+				var body any
+				if batch {
+					n := len(sent)
+					sent = append(sent, wires...)
+					body = wire.GroupArrive{Wires: sent[n:]}
+				} else {
+					body = wire.Arrive{Wire: wires[0]}
+				}
 				var hopStart time.Time
 				if cl.hHop != nil {
 					hopStart = time.Now()
 				}
-				reply, err := cl.rc.CallSpan(injector, g.cm.addr, kindGroupArrive, wire.GroupArrive{Wires: wires}, sp)
+				reply, err := cl.rc.CallSpan(injector, g.cm.addr, kind, body, sp)
 				if err != nil {
-					return nil, fmt.Errorf("dist: group arrive at %v: %w", g.cm.c, err)
+					return fmt.Errorf("dist: %s at %v: %w", kind, c, err)
 				}
 				cl.hHop.Since(hopStart)
 				res, ok := reply.(wire.ArriveRes)
 				if !ok {
-					return nil, fmt.Errorf("dist: group arrive reply %T", reply)
+					return fmt.Errorf("dist: %s reply %T", kind, reply)
 				}
 				switch res.Status {
 				case wire.StatusDead, wire.StatusFrozen:
 					if sp != nil {
-						sp.Event(refusedEvent(res.Status), string(g.cm.c.Path), int64(len(idxs)))
+						v := int64(len(idxs))
+						if !batch {
+							v = int64(wires[0])
+						}
+						sp.Event(refusedEvent(res.Status), string(c.Path), v)
 					}
 					for k, idx := range idxs {
-						pos[idx] = nextHop{c: g.cm.c, wire: wires[k]}
+						st.pos[idx] = nextHop{c: c, wire: wires[k]}
 					}
-					parked = append(parked, parkedGroup{changed: topo.changed, idxs: idxs})
+					st.parked = append(st.parked, parkedGroup{changed: topo.changed, idxs: slices.Clone(idxs)})
 				case wire.StatusProcessed:
 					if sp != nil {
-						sp.Event("group", string(g.cm.c.Path), int64(len(idxs)))
+						if batch {
+							sp.Event("group", string(c.Path), int64(len(idxs)))
+						} else {
+							sp.Event("hop", string(c.Path), int64(res.Out))
+						}
 					}
 					for k, idx := range idxs {
-						next, exited, netOut, err := cl.resolveNext(g.cm.c, (res.Out+k)%g.cm.c.Width)
+						next, exited, netOut, err := cl.resolveNext(c, (res.Out+k)%c.Width)
 						if err != nil {
-							return nil, err
+							return err
 						}
-						if exited {
-							cl.out[netOut].Add(1)
-							outs[idx] = netOut
-						} else {
-							pos[idx] = next
-							active = append(active, idx)
+						if !exited {
+							st.pos[idx] = next
+							st.active = append(st.active, idx)
+							continue
+						}
+						cl.out[netOut].Add(1)
+						outs[idx] = netOut
+						cl.hTok.Since(begin)
+						if sp != nil && !batch {
+							sp.Event("exit", "", int64(netOut))
 						}
 					}
 				default:
-					return nil, fmt.Errorf("dist: group arrive status %d", res.Status)
+					return fmt.Errorf("dist: %s status %d", kind, res.Status)
 				}
 			}
 		}
 	}
-	return outs, nil
-}
-
-// InjectBatchSeq routes len(ins) tokens one at a time: one arrive RPC per
-// token per component visit, where InjectBatch sends one group RPC per
-// component visit with identical counting output. Kept as the reference
-// and comparison path (the oracles check InjectBatch against it, and
-// experiment E28 measures the two against each other on both fabrics).
-func (cl *Cluster) InjectBatchSeq(ins []int) ([]int, error) {
-	if err := cl.checkInputs(ins); err != nil || len(ins) == 0 {
-		return nil, err
-	}
-	outs := make([]int, len(ins))
-	for i := 0; i < len(ins); {
-		// One injected-counter add per run of equal wires, counted before
-		// the run routes (the same count-then-route order Inject uses).
-		j := runEnd(ins, i)
-		cl.injected[ins[i]].Add(uint64(j - i))
-		for ; i < j; i++ {
-			out, err := cl.route(ins[i])
-			if err != nil {
-				return outs[:i], err
-			}
-			outs[i] = out
-		}
-	}
-	return outs, nil
+	return nil
 }
 
 // checkInputs rejects a batch with any input wire out of range, before
@@ -687,75 +752,6 @@ func refusedEvent(s wire.Status) string {
 		return "dead"
 	}
 	return "frozen"
-}
-
-// route carries one validated and counted token from network input wire
-// in to its exit. Every hop is an arrive RPC. A refused token re-resolves
-// from the refusing component once the snapshot it resolved against has
-// been replaced: at once when its path is no longer live, after the commit
-// or thaw when its incarnation is frozen.
-func (cl *Cluster) route(in int) (int, error) {
-	sp := cl.tracer.Start("token")
-	var begin time.Time
-	if sp != nil || cl.hTok != nil {
-		begin = time.Now()
-	}
-
-	// The network input wire belongs to whatever live component covers the
-	// root's input descent; delivery re-resolves as needed.
-	hop := nextHop{c: tree.MustRoot(cl.w), wire: in}
-	for {
-		topo := cl.topo.Load()
-		cm, rwire, err := cl.findLive(topo, hop.c, hop.wire)
-		if err != nil {
-			return 0, err
-		}
-		var hopStart time.Time
-		if cl.hHop != nil {
-			hopStart = time.Now()
-		}
-		reply, err := cl.rc.CallSpan(injector, cm.addr, kindArrive, wire.Arrive{Wire: rwire}, sp)
-		if err != nil {
-			return 0, fmt.Errorf("dist: arrive at %v: %w", cm.c, err)
-		}
-		cl.hHop.Since(hopStart)
-		res, ok := reply.(wire.ArriveRes)
-		if !ok {
-			return 0, fmt.Errorf("dist: arrive reply %T", reply)
-		}
-		if res.Status == wire.StatusDead || res.Status == wire.StatusFrozen {
-			if sp != nil {
-				sp.Event(refusedEvent(res.Status), string(cm.c.Path), int64(rwire))
-			}
-			var wait time.Time
-			if cl.hRefused != nil {
-				wait = time.Now()
-			}
-			<-topo.changed
-			cl.hRefused.Since(wait)
-			hop = nextHop{c: cm.c, wire: rwire}
-			continue
-		}
-		if sp != nil {
-			sp.Event("hop", string(cm.c.Path), int64(res.Out))
-		}
-		next, exited, netOut, err := cl.resolveNext(cm.c, res.Out)
-		if err != nil {
-			return 0, err
-		}
-		if exited {
-			cl.out[netOut].Add(1)
-			if cl.hTok != nil {
-				cl.hTok.Observe(time.Since(begin).Seconds())
-			}
-			if sp != nil {
-				sp.Event("exit", "", int64(netOut))
-				sp.Finish()
-			}
-			return netOut, nil
-		}
-		hop = next
-	}
 }
 
 // findLive resolves the live component of snapshot topo covering input

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/balancer"
+	"repro/internal/cutnet"
 	"repro/internal/transport"
 	"repro/internal/transport/tcpnet"
 	"repro/internal/tree"
@@ -22,10 +24,28 @@ func mustCut(t *testing.T, w, level int) tree.Cut {
 	return cut
 }
 
+// sequentialCounts is the batch oracles' reference: an independent engine,
+// cutnet on the same cut, fed ins one Inject at a time. A balancer
+// component's per-wire output depends only on how many tokens arrived on
+// each input wire, so any grouping of the same tokens must match it.
+func sequentialCounts(t *testing.T, w int, cut tree.Cut, ins []int) balancer.Seq {
+	t.Helper()
+	ref, err := cutnet.New(w, cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range ins {
+		if _, err := ref.Inject(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ref.OutCounts()
+}
+
 // TestGroupBatchMatchesSequentialCounts is the group-routing exactness
 // contract: for the same token multiset on the same cut, the group-routed
-// InjectBatch and the one-RPC-per-token InjectBatchSeq produce identical
-// per-output-wire counts. A balancer component's per-wire output depends
+// InjectBatch produces the per-output-wire counts of the same tokens
+// routed one at a time. A balancer component's per-wire output depends
 // only on how many tokens arrived, never on their interleaving, so
 // delivering a group in one message must be count-for-count the same.
 func TestGroupBatchMatchesSequentialCounts(t *testing.T) {
@@ -46,17 +66,10 @@ func TestGroupBatchMatchesSequentialCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := New(w, cut)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if _, err := grp.InjectBatch(ins); err != nil {
 			t.Fatalf("%s: group batch: %v", name, err)
 		}
-		if _, err := seq.InjectBatchSeq(ins); err != nil {
-			t.Fatalf("%s: sequential batch: %v", name, err)
-		}
-		g, s := grp.OutCounts(), seq.OutCounts()
+		g, s := grp.OutCounts(), sequentialCounts(t, w, cut, ins)
 		for i := range g {
 			if g[i] != s[i] {
 				t.Fatalf("%s: output counts diverge: group %v vs sequential %v", name, g, s)
@@ -111,8 +124,10 @@ func TestGroupBatchOneRPCPerComponentVisit(t *testing.T) {
 	groupCalls := after.Sub(before).Calls
 
 	_, before = seq.NetStats()
-	if _, err := seq.InjectBatchSeq(ins); err != nil {
-		t.Fatal(err)
+	for _, in := range ins {
+		if _, err := seq.Inject(in); err != nil {
+			t.Fatal(err)
+		}
 	}
 	_, after = seq.NetStats()
 	seqCalls := after.Sub(before).Calls

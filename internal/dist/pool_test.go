@@ -161,8 +161,10 @@ func TestInjectBindsNoEndpoints(t *testing.T) {
 	if _, err := cl.InjectBatch([]int{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.InjectBatchSeq([]int{3, 2, 1, 0}); err != nil {
-		t.Fatal(err)
+	for _, in := range []int{3, 2, 1, 0} {
+		if _, err := cl.Inject(in); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if tr.binds != comps {
 		t.Fatalf("injection bound %d addresses, want none", tr.binds-comps)

@@ -143,12 +143,12 @@ func E32Partitioned(opts Options) (*Table, error) {
 // worker drives its share: senders goroutines over contiguous shares,
 // burst-sized calls, through the path mode selects.
 func injectShared(env *fabricEnv, ins []int, burst, senders int, mode string) (float64, error) {
-	inject := env.Cluster.InjectBatch
-	if mode == "seq" {
-		inject = env.Cluster.InjectBatchSeq
-	}
-	return workload.InjectShares(func(part []int) error {
-		_, err := inject(part)
+	inject := func(part []int) error {
+		_, err := env.Cluster.InjectBatch(part)
 		return err
-	}, ins, burst, senders)
+	}
+	if mode == "seq" {
+		inject = workload.OneAtATime(env.Cluster.Inject)
+	}
+	return workload.InjectShares(inject, ins, burst, senders)
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/estimate"
 	"repro/internal/transport"
 	"repro/internal/tree"
+	"repro/internal/workload"
 )
 
 // E28WireTransport prices the serialization boundary: the same token
@@ -71,7 +72,7 @@ func E28WireTransport(opts Options) (*Table, error) {
 				if batched {
 					_, err = cl.InjectBatch(ins[lo:hi])
 				} else {
-					_, err = cl.InjectBatchSeq(ins[lo:hi])
+					err = workload.OneAtATime(cl.Inject)(ins[lo:hi])
 				}
 				if err != nil {
 					return nil, err

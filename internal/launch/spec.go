@@ -37,14 +37,16 @@ type Workload struct {
 	// Tokens is the total token count, split contiguously across
 	// partitions (every partition injects its share concurrently).
 	Tokens int `json:"tokens"`
-	// Burst is the application-level burst handed to one InjectBatch
-	// call. Zero means 128.
+	// Burst is the application-level burst handed to one injection call
+	// (one InjectBatch, or one run of Inject calls in "seq" mode). Zero
+	// means 128.
 	Burst int `json:"burst"`
 	// Senders is the number of concurrent injecting goroutines per
 	// partition. Zero means 1.
 	Senders int `json:"senders"`
-	// Mode selects the injection path: "seq" (one arrive RPC per token
-	// per visit), "group" (group-batched RPCs, the default), or
+	// Mode selects the injection path: "seq" (tokens one at a time
+	// through Inject, one arrive RPC per token per visit), "group"
+	// (group-batched RPCs through InjectBatch, the default), or
 	// "adaptive" (group-batched with the AIMD controller sizing groups
 	// from live wire feedback).
 	Mode string `json:"mode"`

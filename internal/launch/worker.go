@@ -303,14 +303,14 @@ func (w *Worker) run(c *ctlReq) (float64, error) {
 	if senders <= 0 {
 		senders = 1
 	}
-	inject := w.Cluster.InjectBatch
-	if c.Mode == "seq" {
-		inject = w.Cluster.InjectBatchSeq
-	}
-	return workload.InjectShares(func(ins []int) error {
-		_, err := inject(ins)
+	inject := func(ins []int) error {
+		_, err := w.Cluster.InjectBatch(ins)
 		return err
-	}, c.Tokens, burst, senders)
+	}
+	if c.Mode == "seq" {
+		inject = workload.OneAtATime(w.Cluster.Inject)
+	}
+	return workload.InjectShares(inject, c.Tokens, burst, senders)
 }
 
 // report snapshots this worker's observable state (spans travel

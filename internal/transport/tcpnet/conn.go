@@ -548,7 +548,7 @@ func setNoDelay(c net.Conn) {
 	}
 }
 
-// pool is the per-destination connection set: up to cfg.PoolSize conns,
+// pool is the per-destination connection set: up to poolSize conns,
 // dialed on demand, picked round-robin, with exponential backoff after
 // dial failures (a destination that refused recently fails fast instead of
 // hammering).
@@ -570,7 +570,7 @@ func (n *Net) pool(target string) *pool {
 	defer n.poolMu.Unlock()
 	p := n.pools[target]
 	if p == nil {
-		p = &pool{n: n, target: target, backoff: n.cfg.DialBackoff}
+		p = &pool{n: n, target: target, backoff: n.tune.dialBackoff}
 		n.pools[target] = p
 	}
 	return p
@@ -578,7 +578,7 @@ func (n *Net) pool(target string) *pool {
 
 // conn returns a healthy pooled connection, dialing when the pool is not
 // full. Dials in progress hold pool slots, so concurrent first callers
-// cannot race the pool past PoolSize; callers finding every slot mid-dial
+// cannot race the pool past poolSize; callers finding every slot mid-dial
 // wait for one to resolve. Within a post-failure cooldown window the pool
 // fails fast with ErrUnreachable rather than re-dialing a destination that
 // just refused.
@@ -603,7 +603,7 @@ func (p *pool) conn() (*conn, error) {
 			p.coolDown = time.Time{}
 			p.n.ins().gCooling.Add(-1)
 		}
-		if len(p.conns) > 0 && (len(p.conns)+p.dialing >= p.n.cfg.PoolSize || cooling) {
+		if len(p.conns) > 0 && (len(p.conns)+p.dialing >= poolSize || cooling) {
 			p.rr++
 			c := p.conns[p.rr%uint64(len(p.conns))]
 			p.mu.Unlock()
@@ -613,7 +613,7 @@ func (p *pool) conn() (*conn, error) {
 			p.mu.Unlock()
 			return nil, fmt.Errorf("%w: %s dial cooling down", transport.ErrUnreachable, p.target)
 		}
-		if len(p.conns)+p.dialing < p.n.cfg.PoolSize {
+		if len(p.conns)+p.dialing < poolSize {
 			p.dialing++
 			p.n.ins().gDialing.Add(1)
 			p.mu.Unlock()
@@ -643,13 +643,13 @@ func (p *pool) conn() (*conn, error) {
 
 // dial attempts to connect with exponential backoff between attempts.
 func (p *pool) dial() (*conn, error) {
-	wait := p.n.cfg.DialBackoff
+	wait := p.n.tune.dialBackoff
 	var lastErr error
-	for attempt := 0; attempt < p.n.cfg.DialAttempts; attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(wait)
-			if wait *= 2; wait > p.n.cfg.DialBackoffCap {
-				wait = p.n.cfg.DialBackoffCap
+			if wait *= 2; wait > p.n.tune.dialBackoffCap {
+				wait = p.n.tune.dialBackoffCap
 			}
 		}
 		c, err := net.DialTimeout("tcp", p.target, time.Second)
@@ -657,7 +657,7 @@ func (p *pool) dial() (*conn, error) {
 			p.n.dials.Add(1)
 			setNoDelay(c)
 			p.mu.Lock()
-			p.backoff = p.n.cfg.DialBackoff
+			p.backoff = p.n.tune.dialBackoff
 			if !p.coolDown.IsZero() {
 				p.coolDown = time.Time{}
 				p.n.ins().gCooling.Add(-1)
@@ -676,8 +676,8 @@ func (p *pool) dial() (*conn, error) {
 		p.n.ins().gCooling.Add(1)
 	}
 	p.coolDown = time.Now().Add(p.backoff)
-	if p.backoff *= 2; p.backoff > p.n.cfg.DialBackoffCap {
-		p.backoff = p.n.cfg.DialBackoffCap
+	if p.backoff *= 2; p.backoff > p.n.tune.dialBackoffCap {
+		p.backoff = p.n.tune.dialBackoffCap
 	}
 	p.mu.Unlock()
 	return nil, fmt.Errorf("%w: dial %s: %v", transport.ErrUnreachable, p.target, lastErr)

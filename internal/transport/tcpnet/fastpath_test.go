@@ -163,7 +163,9 @@ func TestPendingReleasedOnDie(t *testing.T) {
 // wedge the demultiplexer.
 func TestHandlerPoolSpillover(t *testing.T) {
 	a := newNet(t)
-	b, err := New(Config{Handlers: 1, HandlerQueue: 1})
+	tune := defaultTuning()
+	tune.handlers, tune.handlerQueue = 1, 1
+	b, err := newTuned(Config{}, tune)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@
 //   - Connections multiplex: every request frame carries a per-attempt mux
 //     ID, replies come back tagged with it, so many concurrent calls share
 //     a few connections in both directions. A small per-destination pool
-//     (PoolSize conns, dialed on demand with exponential backoff) keeps
+//     (two conns, dialed on demand with exponential backoff) keeps
 //     head-of-line blocking bounded without a conn per call.
 //   - Per-call deadlines map to the transport error vocabulary: no reply
 //     within the timeout is ErrTimeout (retried by Client), an
@@ -47,60 +47,42 @@ import (
 )
 
 // Config shapes a Net. The zero value works: listen on a loopback port
-// chosen by the kernel, PoolSize 2, default dial backoff.
+// chosen by the kernel.
 type Config struct {
 	// Listen is the listen address (host:port). Empty means
 	// "127.0.0.1:0": loopback, kernel-assigned port.
 	Listen string
-	// PoolSize is the number of connections kept per destination. 0 means
-	// 2: one is enough for correctness, a second keeps a large group
-	// message from head-of-line blocking small control traffic.
-	PoolSize int
-	// DialBackoff is the wait after a failed dial before the next attempt;
-	// it doubles per consecutive failure up to DialBackoffCap. Zero means
-	// 1ms / 50ms.
-	DialBackoff    time.Duration
-	DialBackoffCap time.Duration
-	// DialAttempts is the number of dial tries per Send before giving up
-	// with ErrUnreachable. 0 means 3.
-	DialAttempts int
-	// Handlers is the size of the bounded worker pool serving inbound
-	// requests. 0 means max(4, GOMAXPROCS). Requests arriving when every
-	// worker is busy and the queue is full spill to fresh goroutines, so
-	// slow handlers degrade to goroutine-per-request instead of wedging
-	// the connection read loops.
-	Handlers int
-	// HandlerQueue is the buffered depth of the worker pool's queue. 0
-	// means 4x Handlers.
-	HandlerQueue int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Listen == "" {
-		c.Listen = "127.0.0.1:0"
-	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = 2
-	}
-	if c.DialBackoff <= 0 {
-		c.DialBackoff = time.Millisecond
-	}
-	if c.DialBackoffCap < c.DialBackoff {
-		c.DialBackoffCap = 50 * time.Millisecond
-	}
-	if c.DialAttempts <= 0 {
-		c.DialAttempts = 3
-	}
-	if c.Handlers <= 0 {
-		c.Handlers = runtime.GOMAXPROCS(0)
-		if c.Handlers < 4 {
-			c.Handlers = 4
-		}
-	}
-	if c.HandlerQueue <= 0 {
-		c.HandlerQueue = 4 * c.Handlers
-	}
-	return c
+const (
+	// poolSize is the number of connections kept per destination: one is
+	// enough for correctness, a second keeps a large group message from
+	// head-of-line blocking small control traffic.
+	poolSize = 2
+	// dialAttempts is the number of dial tries per Send before giving up
+	// with ErrUnreachable.
+	dialAttempts = 3
+)
+
+// tuning is the part of a Net's shape that no deployment sets; New uses
+// defaultTuning, and tests that need other values use newTuned.
+type tuning struct {
+	// handlers is the size of the bounded worker pool serving inbound
+	// requests. Requests arriving when every worker is busy and the queue
+	// (handlerQueue deep) is full spill to fresh goroutines, so slow
+	// handlers degrade to goroutine-per-request instead of wedging the
+	// connection read loops.
+	handlers, handlerQueue int
+	// dialBackoff is the wait after a failed dial before the next attempt;
+	// it doubles per consecutive failure up to dialBackoffCap.
+	dialBackoff, dialBackoffCap time.Duration
+}
+
+// defaultTuning: max(4, GOMAXPROCS) handlers with a queue 4x as deep, and
+// a 1ms dial backoff capped at 50ms.
+func defaultTuning() tuning {
+	h := max(4, runtime.GOMAXPROCS(0))
+	return tuning{handlers: h, handlerQueue: 4 * h, dialBackoff: time.Millisecond, dialBackoffCap: 50 * time.Millisecond}
 }
 
 // WireStats are the byte- and connection-level counters a socket fabric
@@ -126,7 +108,7 @@ type WireStats struct {
 type Net struct {
 	transport.Endpoints
 
-	cfg  Config
+	tune tuning
 	ln   net.Listener
 	addr string
 
@@ -204,22 +186,30 @@ type route struct {
 
 // New creates a Net listening per cfg and starts serving.
 func New(cfg Config) (*Net, error) {
-	cfg = cfg.withDefaults()
-	ln, err := net.Listen("tcp", cfg.Listen)
+	return newTuned(cfg, defaultTuning())
+}
+
+// newTuned is New with an explicit tuning.
+func newTuned(cfg Config, tune tuning) (*Net, error) {
+	listen := cfg.Listen
+	if listen == "" {
+		listen = "127.0.0.1:0"
+	}
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
-		return nil, fmt.Errorf("tcpnet: listen %s: %w", cfg.Listen, err)
+		return nil, fmt.Errorf("tcpnet: listen %s: %w", listen, err)
 	}
 	n := &Net{
-		cfg:     cfg,
+		tune:    tune,
 		ln:      ln,
 		addr:    ln.Addr().String(),
 		pools:   make(map[string]*pool),
 		closeCh: make(chan struct{}),
-		work:    make(chan srvTask, cfg.HandlerQueue),
+		work:    make(chan srvTask, tune.handlerQueue),
 	}
 	n.loops.Add(1)
 	go n.acceptLoop()
-	for i := 0; i < cfg.Handlers; i++ {
+	for i := 0; i < tune.handlers; i++ {
 		n.loops.Add(1)
 		go n.handlerLoop()
 	}

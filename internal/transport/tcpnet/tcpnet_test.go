@@ -163,7 +163,7 @@ func TestErrorMapping(t *testing.T) {
 
 // TestConcurrentMux drives many concurrent calls through the small conn
 // pool: replies must come back matched to their callers (the mux IDs), and
-// the pool must stay at PoolSize conns rather than one per call.
+// the pool must stay at poolSize conns rather than one per call.
 func TestConcurrentMux(t *testing.T) {
 	n := newNet(t)
 	if err := n.Bind("n:echo", func(req transport.Request) (any, error) {
@@ -193,9 +193,9 @@ func TestConcurrentMux(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// PoolSize outbound conns + the same number accepted back on the
+	// poolSize outbound conns + the same number accepted back on the
 	// listener side.
-	if open := n.WireStats().ConnsOpen; open > int64(2*n.cfg.PoolSize) {
+	if open := n.WireStats().ConnsOpen; open > int64(2*poolSize) {
 		t.Fatalf("%d conns open for %d concurrent callers; pooling broken", open, workers)
 	}
 }
@@ -393,7 +393,9 @@ func TestDedupBoundOverSocket(t *testing.T) {
 // live conns after traffic, a cooldown entry after a dead dial.
 func TestPoolHealthStats(t *testing.T) {
 	reg := obs.NewRegistry()
-	n, err := New(Config{DialBackoff: 300 * time.Millisecond, DialBackoffCap: time.Second})
+	tune := defaultTuning()
+	tune.dialBackoff, tune.dialBackoffCap = 300*time.Millisecond, time.Second
+	n, err := newTuned(Config{}, tune)
 	if err != nil {
 		t.Fatal(err)
 	}

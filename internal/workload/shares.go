@@ -8,9 +8,23 @@ import (
 )
 
 // Inject is one burst-injection call into a counting engine — typically
-// a closure over dist.Cluster.InjectBatch or InjectBatchSeq. It is kept
-// as a plain function type so this package stays engine-agnostic.
+// a closure over dist.Cluster.InjectBatch, or OneAtATime over
+// dist.Cluster.Inject. It is kept as a plain function type so this package
+// stays engine-agnostic.
 type Inject func(ins []int) error
+
+// OneAtATime adapts a one-token injection call, such as dist.Cluster.Inject,
+// to Inject: a burst's tokens go in one call each, in order.
+func OneAtATime(inject func(in int) (int, error)) Inject {
+	return func(ins []int) error {
+		for _, in := range ins {
+			if _, err := inject(in); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
 
 // InjectShares drives ins through fn concurrently: senders goroutines
 // each take a contiguous share of the arrival sequence and hand it to fn
